@@ -10,7 +10,7 @@ import sys
 from math import lcm
 from pathlib import Path
 
-from .graphs import EXPORT_FORMATS, are_isomorphic, export, graph_from_json, has_universal_vertex
+from .graphs import EXPORT_FORMATS, are_isomorphic, export, graph_from_json
 from .groupspec import parse_group_spec
 from .power import PowerGraphBundle, power_graph_bundle
 from .products import (
@@ -20,7 +20,6 @@ from .products import (
     generalized_product_graph,
     normal_product_graph,
 )
-from .progressions import SENTINEL
 from .verify import (
     DEFAULT_MAX_ORDER,
     DEFAULT_SEED,
@@ -185,7 +184,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     degrees = graph.degree_sequence()
     print(f"power graph degrees: min {degrees[0]}, max {degrees[-1]}")
     print(f"universal vertices: {universal}")
-    print(f"has universal vertex: {'yes' if has_universal_vertex(graph) else 'no'}")
+    print(f"has universal vertex: {'yes' if universal else 'no'}")
     return 0
 
 

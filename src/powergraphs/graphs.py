@@ -75,8 +75,6 @@ def relabel(g: SimpleGraph, perm: list[int]) -> SimpleGraph:
 
 def has_universal_vertex(g: SimpleGraph) -> bool:
     """True iff some vertex is adjacent to all others (so always for K1)."""
-    if g.vertex_count == 1:
-        return True
     full = g.vertex_count - 1
     return any(len(nbrs) == full for nbrs in g._adj)
 

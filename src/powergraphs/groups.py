@@ -90,46 +90,15 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def mul(self, a: int, b: int) -> int:
-        self._check_element(a)
-        self._check_element(b)
-        return self.table[a][b]
-
     def element_order(self, a: int) -> int:
         """Least k >= 1 with a^k equal to the identity."""
         self._check_element(a)
         return self.element_orders[a]
 
-    def power(self, a: int, k: int) -> int:
-        """a^k for k >= 0, with a^0 the identity; k is reduced mod o(a)."""
-        self._check_element(a)
-        if k < 0:
-            raise ValueError(f"exponent must be nonnegative, got {k}")
-        k %= self.element_orders[a]
-        x = self.identity
-        for _ in range(k):
-            x = self.table[x][a]
-        return x
-
-    def smallest_exponent(self, a: int, b: int) -> int | None:
-        """Least t >= 1 with a^t = b, or None when b is not a power of a."""
-        self._check_element(a)
-        self._check_element(b)
-        x = a
-        for t in range(1, self.element_orders[a] + 1):
-            if x == b:
-                return t
-            x = self.table[x][a]
-        return None
-
     def is_abelian(self) -> bool:
         t = self.table
         n = self.order
         return all(t[i][j] == t[j][i] for i in range(n) for j in range(i + 1, n))
-
-    def element_name(self, a: int) -> str:
-        self._check_element(a)
-        return self.element_names[a]
 
 
 def group_from_cayley_table(table, name: str = "G",
@@ -179,6 +148,8 @@ def cyclic(n: int) -> FiniteGroup:
     """Cyclic group C_n under addition mod n."""
     if n < 1:
         raise InvalidOrder(f"cyclic group order must be >= 1, got {n}")
+    if n > DEFAULT_ORDER_CAP:
+        raise OrderOverflow(f"cyclic group order {n} exceeds cap {DEFAULT_ORDER_CAP}")
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     return FiniteGroup(table, name=f"C{n}")
 
@@ -192,6 +163,8 @@ def dihedral(n: int) -> FiniteGroup:
     if n < 1:
         raise InvalidOrder(f"dihedral parameter must be >= 1, got {n}")
     size = 2 * n
+    if size > DEFAULT_ORDER_CAP:
+        raise OrderOverflow(f"dihedral group order {size} exceeds cap {DEFAULT_ORDER_CAP}")
     table = [[0] * size for _ in range(size)]
     for a in range(n):
         for b in range(n):
@@ -247,11 +220,6 @@ def pair_index(i: int, j: int, n2: int) -> int:
     return i * n2 + j
 
 
-def pair_of_index(x: int, n2: int) -> tuple[int, int]:
-    """Inverse of pair_index."""
-    return divmod(x, n2)
-
-
 def direct_product(g1: FiniteGroup, g2: FiniteGroup,
                    cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Direct product with componentwise multiplication.
@@ -264,15 +232,8 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup,
     n = n1 * n2
     if n > cap:
         raise OrderOverflow(f"product order {n} exceeds cap {cap}")
-    table = [[0] * n for _ in range(n)]
-    for i1 in range(n1):
-        for i2 in range(n2):
-            row = table[pair_index(i1, i2, n2)]
-            t1 = g1.table[i1]
-            t2 = g2.table[i2]
-            for j1 in range(n1):
-                for j2 in range(n2):
-                    row[pair_index(j1, j2, n2)] = pair_index(t1[j1], t2[j2], n2)
+    # Row (i1, i2) lists (i1*j1, i2*j2) over the columns (j1, j2) in index order.
+    table = [[x1 * n2 + x2 for x1 in t1 for x2 in t2] for t1 in g1.table for t2 in g2.table]
     names = [f"({a},{b})" for a in g1.element_names for b in g2.element_names]
     return FiniteGroup(table, name=f"{g1.name}x{g2.name}", element_names=names)
 
@@ -300,6 +261,8 @@ def load_cayley_table(path: str | Path, name: str | None = None) -> FiniteGroup:
         raise ValueError(f"{path}:{header_line}: expected group order, got {header!r}") from None
     if n < 1:
         raise InvalidOrder(f"{path}:{header_line}: order must be >= 1, got {n}")
+    if n > DEFAULT_ORDER_CAP:
+        raise OrderOverflow(f"{path}:{header_line}: order {n} exceeds cap {DEFAULT_ORDER_CAP}")
     if len(lines) - 1 != n:
         raise ValueError(f"{path}: expected {n} table rows, got {len(lines) - 1}")
     rows = []

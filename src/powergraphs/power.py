@@ -42,10 +42,9 @@ def power_weights(g: FiniteGroup) -> WeightTable:
 
 def power_graph_bundle(g: FiniteGroup) -> PowerGraphBundle:
     weights = power_weights(g)
-    edges = [(a, b)
-             for a in range(g.order)
-             for b in range(a + 1, g.order)
-             if weights[a][b] != SENTINEL or weights[b][a] != SENTINEL]
+    # Row a is non-sentinel exactly at a^1..a^o(a), and of these only a^1
+    # is a itself, so the cells with start > 1 are the arcs a -> b, b != a.
+    edges = [(a, b) for a, row in enumerate(weights) for b, w in enumerate(row) if w.start > 1]
     graph = SimpleGraph(g.element_names, edges)
     return PowerGraphBundle(group=g, graph=graph, weights=weights)
 

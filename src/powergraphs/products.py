@@ -9,8 +9,10 @@ other fixed (the box product) and "normal" is the union of direct and
 cartesian adjacency (elsewhere called the strong product).
 """
 
+from itertools import chain
+
 from .graphs import SimpleGraph
-from .groups import pair_index, pair_of_index
+from .groups import pair_index
 from .power import WeightTable
 from .progressions import APPair, SENTINEL, aps_intersect_positively
 
@@ -39,40 +41,42 @@ def _product_labels(a: SimpleGraph, b: SimpleGraph, cap: int) -> list[str]:
     return [f"({la},{lb})" for la in a.labels for lb in b.labels]
 
 
+def _direct_edges(a: SimpleGraph, b: SimpleGraph):
+    nb = b.vertex_count
+    edges_b = b.edges()
+    for u1, v1 in a.edges():
+        for u2, v2 in edges_b:
+            yield pair_index(u1, u2, nb), pair_index(v1, v2, nb)
+            yield pair_index(u1, v2, nb), pair_index(v1, u2, nb)
+
+
+def _cartesian_edges(a: SimpleGraph, b: SimpleGraph):
+    nb = b.vertex_count
+    edges_b = b.edges()
+    for v1 in range(a.vertex_count):
+        for u2, v2 in edges_b:
+            yield pair_index(v1, u2, nb), pair_index(v1, v2, nb)
+    for u1, v1 in a.edges():
+        for v2 in range(nb):
+            yield pair_index(u1, v2, nb), pair_index(v1, v2, nb)
+
+
 def direct_product_graph(a: SimpleGraph, b: SimpleGraph,
                          cap: int = DEFAULT_SIZE_CAP) -> SimpleGraph:
     """(g1, g2) ~ (h1, h2) iff g1 ~ h1 and g2 ~ h2."""
-    labels = _product_labels(a, b, cap)
-    nb = b.vertex_count
-    edges = []
-    for u1, v1 in a.edges():
-        for u2, v2 in b.edges():
-            edges.append((pair_index(u1, u2, nb), pair_index(v1, v2, nb)))
-            edges.append((pair_index(u1, v2, nb), pair_index(v1, u2, nb)))
-    return SimpleGraph(labels, edges)
+    return SimpleGraph(_product_labels(a, b, cap), _direct_edges(a, b))
 
 
 def cartesian_product_graph(a: SimpleGraph, b: SimpleGraph,
                             cap: int = DEFAULT_SIZE_CAP) -> SimpleGraph:
     """(g1, g2) ~ (h1, h2) iff the pairs agree in one slot and are adjacent in the other."""
-    labels = _product_labels(a, b, cap)
-    nb = b.vertex_count
-    edges = []
-    for v1 in range(a.vertex_count):
-        for u2, v2 in b.edges():
-            edges.append((pair_index(v1, u2, nb), pair_index(v1, v2, nb)))
-    for u1, v1 in a.edges():
-        for v2 in range(b.vertex_count):
-            edges.append((pair_index(u1, v2, nb), pair_index(v1, v2, nb)))
-    return SimpleGraph(labels, edges)
+    return SimpleGraph(_product_labels(a, b, cap), _cartesian_edges(a, b))
 
 
 def normal_product_graph(a: SimpleGraph, b: SimpleGraph,
                          cap: int = DEFAULT_SIZE_CAP) -> SimpleGraph:
     """Union of direct and cartesian adjacency."""
-    direct = direct_product_graph(a, b, cap=cap)
-    cartesian = cartesian_product_graph(a, b, cap=cap)
-    return SimpleGraph(direct.labels, direct.edges() + cartesian.edges())
+    return SimpleGraph(_product_labels(a, b, cap), chain(_direct_edges(a, b), _cartesian_edges(a, b)))
 
 
 def generalized_product_graph(a: SimpleGraph, wa: WeightTable,
@@ -86,16 +90,20 @@ def generalized_product_graph(a: SimpleGraph, wa: WeightTable,
     _check_weights(a, wa, "left")
     _check_weights(b, wb, "right")
     labels = _product_labels(a, b, cap)
-    n = len(labels)
-    nb = b.vertex_count
+    na, nb = a.vertex_count, b.vertex_count
     edges = []
-    for x in range(n):
-        g1, g2 = pair_of_index(x, nb)
-        for y in range(x + 1, n):
-            h1, h2 = pair_of_index(y, nb)
-            if aps_intersect_positively(wa[g1][h1], wb[g2][h2]) or \
-               aps_intersect_positively(wa[h1][g1], wb[h2][g2]):
-                edges.append((x, y))
+    for g1 in range(na):
+        for g2 in range(nb):
+            # y walks the indices of the pairs (h1, h2) after x in encoding order.
+            x = y = pair_index(g1, g2, nb)
+            row2 = wb[g2]
+            for h1 in range(g1, na):
+                forward, back = wa[g1][h1], wa[h1][g1]
+                for h2 in range(g2 + 1 if h1 == g1 else 0, nb):
+                    y += 1
+                    if aps_intersect_positively(forward, row2[h2]) or \
+                       aps_intersect_positively(back, wb[h2][g2]):
+                        edges.append((x, y))
     return SimpleGraph(labels, edges)
 
 

@@ -171,6 +171,7 @@ def test_universal_vertex():
     assert has_universal_vertex(SimpleGraph(["v"]))
     assert not has_universal_vertex(cycle(4))
     assert not has_universal_vertex(SimpleGraph(labels(2)))
+    assert not has_universal_vertex(SimpleGraph([]))
 
 
 def test_iso_cap():

@@ -17,10 +17,11 @@ from powergraphs import (
     direct_product,
     group_from_cayley_table,
     load_cayley_table,
+    power_weights,
     quaternion8,
     symmetric,
 )
-from powergraphs.groups import pair_index, pair_of_index
+from powergraphs.groups import pair_index
 
 # Latin square whose only identity-shaped row (row 0) fails columnwise,
 # so there is no two-sided identity.
@@ -121,6 +122,15 @@ def test_cyclic_rejects_zero():
         cyclic(0)
 
 
+def test_builders_enforce_order_cap(monkeypatch):
+    monkeypatch.setattr("powergraphs.groups.DEFAULT_ORDER_CAP", 10)
+    assert cyclic(10).order == dihedral(5).order == 10
+    with pytest.raises(OrderOverflow):
+        cyclic(11)
+    with pytest.raises(OrderOverflow):
+        dihedral(6)
+
+
 def test_dihedral_structure():
     g = dihedral(3)
     assert g.order == 6
@@ -161,8 +171,8 @@ def test_quaternion():
     assert not g.is_abelian()
     names = g.element_names
     i, j = names.index("i"), names.index("j")
-    assert names[g.mul(i, j)] == "k"
-    assert names[g.mul(j, i)] == "-k"
+    assert names[g.table[i][j]] == "k"
+    assert names[g.table[j][i]] == "-k"
 
 
 def test_element_order_examples():
@@ -172,24 +182,22 @@ def test_element_order_examples():
     assert z6.element_order(5) == 6
 
 
-def test_power_examples():
-    z6 = cyclic(6)
-    assert z6.power(2, 0) == 0
-    assert z6.power(2, 2) == 4
-    assert z6.power(5, 6) == 0
-    assert z6.power(5, 13) == 5  # exponent reduced mod the order
-    with pytest.raises(ValueError):
-        z6.power(2, -1)
-    with pytest.raises(IndexError):
-        z6.power(6, 1)
+def powers(g, a, count):
+    """[a^1, ..., a^count] by repeated multiplication in the table."""
+    out = [a]
+    while len(out) < count:
+        out.append(g.table[out[-1]][a])
+    return out
 
 
 def test_smallest_exponent_examples():
-    assert cyclic(4).smallest_exponent(1, 3) == 3
-    assert cyclic(6).smallest_exponent(2, 3) is None
+    # the least t >= 1 with a^t = b is the start of the weight W(a, b)
+    assert power_weights(cyclic(4))[1][3].start == 3
+    assert power_weights(cyclic(6))[2][3].start == 0  # 3 is no power of 2
     for g in (cyclic(4), cyclic(6), quaternion8()):
+        w = power_weights(g)
         for a in g.elements():
-            assert g.smallest_exponent(a, a) == 1
+            assert w[a][a].start == 1
 
 
 def test_lagrange_and_order_cycle():
@@ -198,28 +206,29 @@ def test_lagrange_and_order_cycle():
         for a in g.elements():
             o = g.element_order(a)
             assert g.order % o == 0
-            assert g.power(a, o) == g.identity
-            for k in range(1, o):
-                assert g.power(a, k) != g.identity
+            cycle = powers(g, a, o)
+            assert cycle[-1] == g.identity
+            assert g.identity not in cycle[:-1]
 
 
 def test_exponent_sets_are_progressions():
     # {m in [1, 3o] : a^m = b} is {t, t+o, t+2o} when t exists, else empty
     for g in small_family():
+        w = power_weights(g)
         for a in g.elements():
             o = g.element_order(a)
+            window = powers(g, a, 3 * o)
             for b in g.elements():
-                window = {m for m in range(1, 3 * o + 1) if g.power(a, m) == b}
-                t = g.smallest_exponent(a, b)
-                expected = set() if t is None else {t, t + o, t + 2 * o}
-                assert window == expected
+                t = w[a][b].start
+                expected = set() if t == 0 else {t, t + o, t + 2 * o}
+                assert {m for m, x in enumerate(window, start=1) if x == b} == expected
 
 
 def test_pair_encoding_round_trip():
     for n2 in (1, 2, 5):
         for i in range(4):
             for j in range(n2):
-                assert pair_of_index(pair_index(i, j, n2), n2) == (i, j)
+                assert divmod(pair_index(i, j, n2), n2) == (i, j)
 
 
 def test_direct_product_basics():
@@ -237,8 +246,8 @@ def test_direct_product_is_componentwise():
         for i2 in range(4):
             for j1 in range(3):
                 for j2 in range(4):
-                    x = g.mul(pair_index(i1, i2, 4), pair_index(j1, j2, 4))
-                    assert pair_of_index(x, 4) == ((i1 + j1) % 3, (i2 + j2) % 4)
+                    x = g.table[pair_index(i1, i2, 4)][pair_index(j1, j2, 4)]
+                    assert divmod(x, 4) == ((i1 + j1) % 3, (i2 + j2) % 4)
 
 
 def test_direct_product_overflow():
@@ -265,6 +274,13 @@ def test_load_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.tbl"
     path.write_text("two\n0 1\n1 0\n")
     with pytest.raises(ValueError, match="expected group order"):
+        load_cayley_table(path)
+
+
+def test_load_rejects_order_above_cap_before_rows(tmp_path):
+    path = tmp_path / "huge.tbl"
+    path.write_text("10001\n0\n")
+    with pytest.raises(OrderOverflow, match=r"huge\.tbl:1: order 10001 exceeds cap 10000"):
         load_cayley_table(path)
 
 

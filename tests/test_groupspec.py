@@ -66,3 +66,21 @@ def test_error_message_names_position():
 def test_product_cap():
     with pytest.raises(OrderOverflow):
         parse_group_spec("C6xC6", cap=30)
+
+
+def test_atom_cap(tmp_path, monkeypatch):
+    path = tmp_path / "z3.tbl"
+    path.write_text("3\n0 1 2\n1 2 0\n2 0 1\n")
+    assert parse_group_spec("C10", cap=10).order == 10
+    for spec, cap in (("S4", 10), ("Q8", 4), (f"cayley:{path}", 2)):
+        with pytest.raises(OrderOverflow):
+            parse_group_spec(spec, cap=cap)
+
+    # C<n> and D<n> are rejected before their tables are built
+    def unreachable(n):
+        raise AssertionError(f"built a group for n={n}")
+    monkeypatch.setattr("powergraphs.groupspec.cyclic", unreachable)
+    monkeypatch.setattr("powergraphs.groupspec.dihedral", unreachable)
+    for spec in ("C20", "D15"):
+        with pytest.raises(OrderOverflow):
+            parse_group_spec(spec, cap=10)

@@ -78,13 +78,20 @@ def test_bundle_adjacency_matches_weights():
                 assert bundle.graph.adjacent(a, b) == expected
 
 
+def powers(g, a):
+    """[a^1, ..., a^o(a)] by repeated multiplication in the table."""
+    out = [a]
+    for _ in range(g.element_order(a) - 1):
+        out.append(g.table[out[-1]][a])
+    return out
+
+
 def naive_power_graph(g):
     """Adjacency straight from the definition: scan all exponents both ways."""
     edges = []
     for a in g.elements():
         for b in range(a + 1, g.order):
-            related = any(g.power(a, m) == b for m in range(1, g.element_order(a) + 1)) or \
-                      any(g.power(b, m) == a for m in range(1, g.element_order(b) + 1))
+            related = b in powers(g, a) or a in powers(g, b)
             if related:
                 edges.append((a, b))
     return SimpleGraph(g.element_names, edges)
@@ -96,7 +103,7 @@ def test_matches_definition_direct_construction():
 
 
 def cyclic_subgroup(g, a):
-    return {g.power(a, m) for m in range(1, g.element_order(a) + 1)}
+    return set(powers(g, a))
 
 
 def test_adjacency_is_subgroup_containment():

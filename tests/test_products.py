@@ -138,13 +138,15 @@ def test_all_sentinel_weights_give_no_edges():
 
 
 def test_weights_alone_decide_adjacency():
-    # two isolated vertices, but a weight claiming v is the square of u
+    # two isolated vertices, but a weight claiming v is the square of u,
+    # and the mirrored table claiming u is the square of v
     a = SimpleGraph(["u", "v"])
-    wa = [[APPair(1, 1), APPair(2, 2)], [SENTINEL, APPair(1, 1)]]
     b = SimpleGraph(["x"])
     wb = [[APPair(1, 1)]]
-    got = generalized_product_graph(a, wa, b, wb)
-    assert got.edge_count == 1 and got.adjacent(0, 1)
+    for wa in ([[APPair(1, 1), APPair(2, 2)], [SENTINEL, APPair(1, 1)]],
+               [[APPair(1, 1), SENTINEL], [APPair(2, 2), APPair(1, 1)]]):
+        got = generalized_product_graph(a, wa, b, wb)
+        assert got.edge_count == 1 and got.adjacent(0, 1)
 
 
 def test_weighted_product_of_power_graphs():
