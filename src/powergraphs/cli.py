@@ -11,8 +11,9 @@ from math import lcm
 from pathlib import Path
 
 from .graphs import EXPORT_FORMATS, are_isomorphic, export, graph_from_json
+from .groups import direct_product
 from .groupspec import parse_group_spec
-from .power import PowerGraphBundle, power_graph_bundle
+from .power import PowerGraphBundle, power_graph, power_graph_bundle
 from .products import (
     PRODUCT_KINDS,
     cartesian_product_graph,
@@ -140,7 +141,7 @@ def _cmd_product(args: argparse.Namespace) -> int:
 def _cmd_verify_theorem(args: argparse.Namespace) -> int:
     g1 = parse_group_spec(args.spec1)
     g2 = parse_group_spec(args.spec2)
-    result = check_power_product_pair(g1, g2)
+    result = check_power_product_pair(g1, g2, power_graph(direct_product(g1, g2)))
     status = "PASS" if result.passed else "FAIL"
     print(f"power-product-identity [{result.subject}]: {status} ({result.detail})")
     return 0 if result.passed else 1

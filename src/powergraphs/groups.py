@@ -132,6 +132,46 @@ def group_from_cayley_table(table, name: str = "G",
                 raise NotLatinSquare(f"column {j} repeats entry {v} at rows {seen[v]} and {i}")
             seen[v] = i
     group = FiniteGroup(rows, name=name, element_names=element_names)
+    # Light's test.  The g with (x*g)*y = x*(g*y) for all x, y include the
+    # identity and are closed under the product, so they include every element
+    # reached from the identity by right multiplication with generators: all of them.
+    for g in _generators(rows, group.identity):
+        tg = rows[g]
+        for ti in rows:
+            if rows[ti[g]] != [ti[v] for v in tg]:
+                _raise_first_violation(rows)
+    return group
+
+
+def _generators(rows: list[list[int]], identity: int) -> list[int]:
+    """Elements that reach every element from the identity by right multiplication.
+
+    Each generator is the first element not reached by the earlier ones; in a
+    group it at least doubles the reached set, so there are at most log2 n.
+    """
+    reached = [False] * len(rows)
+    reached[identity] = True
+    closure = [identity]
+    gens: list[int] = []
+    for a in range(len(rows)):
+        if reached[a]:
+            continue
+        gens.append(a)
+        frontier = list(closure)
+        while frontier:
+            row = rows[frontier.pop()]
+            for g in gens:
+                y = row[g]
+                if not reached[y]:
+                    reached[y] = True
+                    closure.append(y)
+                    frontier.append(y)
+    return gens
+
+
+def _raise_first_violation(rows: list[list[int]]) -> None:
+    """Scan the triples (i, j, k) in order and name the first non-associative one."""
+    n = len(rows)
     for i in range(n):
         ti = rows[i]
         for j in range(n):
@@ -141,7 +181,6 @@ def group_from_cayley_table(table, name: str = "G",
                 if rows[tij][k] != ti[tj[k]]:
                     raise NotAssociative(
                         f"({i}*{j})*{k} = {rows[tij][k]} but {i}*({j}*{k}) = {ti[tj[k]]}")
-    return group
 
 
 def cyclic(n: int) -> FiniteGroup:

@@ -44,7 +44,9 @@ def power_graph_bundle(g: FiniteGroup) -> PowerGraphBundle:
     weights = power_weights(g)
     # Row a is non-sentinel exactly at a^1..a^o(a), and of these only a^1
     # is a itself, so the cells with start > 1 are the arcs a -> b, b != a.
-    edges = [(a, b) for a, row in enumerate(weights) for b, w in enumerate(row) if w.start > 1]
+    # An arc whose reverse is also an arc is passed once, from its lower end.
+    edges = [(a, b) for a, row in enumerate(weights) for b, w in enumerate(row)
+             if w.start > 1 and (a < b or weights[b][a] is SENTINEL)]
     graph = SimpleGraph(g.element_names, edges)
     return PowerGraphBundle(group=g, graph=graph, weights=weights)
 

@@ -84,25 +84,25 @@ def edge_set_difference(left: SimpleGraph, right: SimpleGraph) -> str:
             f"only in right: {fmt(right, edges_right - edges_left)}")
 
 
-def check_power_product_pair(g1: FiniteGroup, g2: FiniteGroup) -> InstanceResult:
-    """Power graph of the product group vs weighted product of the factor power graphs."""
+def check_power_product_pair(g1: FiniteGroup, g2: FiniteGroup,
+                             pg: SimpleGraph) -> InstanceResult:
+    """Power graph pg of G1 x G2 vs weighted product of the factor power graphs."""
     subject = f"{g1.name} x {g2.name}"
-    left = power_graph(direct_product(g1, g2))
     b1 = power_graph_bundle(g1)
     b2 = power_graph_bundle(g2)
     right = generalized_product_graph(b1.graph, b1.weights, b2.graph, b2.weights)
-    if graphs_equal_labeled(left, right):
-        return InstanceResult(subject, True, f"{left.edge_count} edges on each side")
+    if graphs_equal_labeled(pg, right):
+        return InstanceResult(subject, True, f"{pg.edge_count} edges on each side")
     return InstanceResult(
         subject, False,
-        f"left has {left.edge_count} edges, right has {right.edge_count}; "
-        + edge_set_difference(left, right))
+        f"left has {pg.edge_count} edges, right has {right.edge_count}; "
+        + edge_set_difference(pg, right))
 
 
-def check_cartesian_obstruction(g1: FiniteGroup, g2: FiniteGroup) -> InstanceResult:
-    """Non-isomorphism of P(G1 x G2) and the cartesian product, with certificates."""
+def check_cartesian_obstruction(g1: FiniteGroup, g2: FiniteGroup,
+                                pg: SimpleGraph) -> InstanceResult:
+    """Non-isomorphism of pg = P(G1 x G2) and the cartesian product, with certificates."""
     subject = f"{g1.name} x {g2.name}"
-    pg = power_graph(direct_product(g1, g2))
     cart = cartesian_product_graph(power_graph(g1), power_graph(g2))
     iso, witness = are_isomorphic(pg, cart)
     problems = []
@@ -174,18 +174,20 @@ def verify_all(max_order: int = DEFAULT_MAX_ORDER,
     family = family_groups(max_order)
     pairs = [(g1, g2) for g1 in family for g2 in family
              if g1.order * g2.order <= max_order]
-    reports = []
+    identity_report = VerificationReport("power-product-identity")
+    obstruction_report = VerificationReport("cartesian-obstruction")
+    reports = [identity_report, obstruction_report]
 
-    start = time.perf_counter()
-    instances = [check_power_product_pair(g1, g2) for g1, g2 in pairs]
-    reports.append(VerificationReport("power-product-identity", instances,
-                                      time.perf_counter() - start))
-
-    start = time.perf_counter()
-    instances = [check_cartesian_obstruction(g1, g2) for g1, g2 in pairs
-                 if g1.order > 1 and g2.order > 1]
-    reports.append(VerificationReport("cartesian-obstruction", instances,
-                                      time.perf_counter() - start))
+    # Both claims share P(G1 x G2); its build counts towards the first.
+    for g1, g2 in pairs:
+        start = time.perf_counter()
+        pg = power_graph(direct_product(g1, g2))
+        identity_report.instances.append(check_power_product_pair(g1, g2, pg))
+        identity_report.wall_time += time.perf_counter() - start
+        if g1.order > 1 and g2.order > 1:
+            start = time.perf_counter()
+            obstruction_report.instances.append(check_cartesian_obstruction(g1, g2, pg))
+            obstruction_report.wall_time += time.perf_counter() - start
 
     start = time.perf_counter()
     instances = [check_exponent_windows(g) for g in family]

@@ -1,5 +1,6 @@
 """Group construction, table validation, and the built-in families."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -21,7 +22,7 @@ from powergraphs import (
     quaternion8,
     symmetric,
 )
-from powergraphs.groups import pair_index
+from powergraphs.groups import _generators, pair_index
 
 # Latin square whose only identity-shaped row (row 0) fails columnwise,
 # so there is no two-sided identity.
@@ -96,6 +97,150 @@ def test_no_identity():
 def test_nonassociative_loop_rejected():
     with pytest.raises(NotAssociative, match=r"\(1\*1\)\*2"):
         group_from_cayley_table(NONASSOCIATIVE)
+
+
+def first_violation(table):
+    """Slow oracle: the first (i, j, k) in index order with (i*j)*k != i*(j*k)."""
+    n = len(table)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                left, right = table[table[i][j]][k], table[i][table[j][k]]
+                if left != right:
+                    return i, j, k, left, right
+    return None
+
+
+def is_group_by_scan(table):
+    """Validate table and require the verdict and message of the slow oracle."""
+    violation = first_violation(table)
+    if violation is None:
+        group_from_cayley_table(table)
+        return True
+    i, j, k, left, right = violation
+    with pytest.raises(NotAssociative) as info:
+        group_from_cayley_table(table)
+    assert str(info.value) == f"({i}*{j})*{k} = {left} but {i}*({j}*{k}) = {right}"
+    return False
+
+
+def relabel_table(table, perm):
+    """The table of the same operation on the elements renamed x -> perm[x]."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            out[perm[i]][perm[j]] = perm[table[i][j]]
+    return out
+
+
+def relabelled(g, rng):
+    """g's table under a random relabelling that moves the identity off index 0."""
+    perm = rng.sample(range(g.order), g.order)
+    if g.order > 1 and perm[g.identity] == 0:
+        other = (g.identity + 1) % g.order
+        perm[g.identity], perm[other] = perm[other], perm[g.identity]
+    return relabel_table(g.table, perm)
+
+
+def oracle_family():
+    return [cyclic(6), dihedral(3), direct_product(cyclic(2), cyclic(4)), quaternion8(),
+            dihedral(4), direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2)),
+            dihedral(6), symmetric(4)]
+
+
+def intercalate_swaps(table, rng, count):
+    """count tables made from table by swapping one intercalate each.
+
+    In a group, rows r, r*x and columns c, x*c form an intercalate when x is
+    an involution; swapping it keeps the Latin property, and keeps the
+    identity when none of the four lines is the identity's.
+    """
+    n = len(table)
+    e = next(x for x in range(n) if table[x] == list(range(n)))
+    involutions = [x for x in range(n) if x != e and table[x][x] == e]
+    out = []
+    while len(out) < count:
+        x, r1, c1 = rng.choice(involutions), rng.randrange(n), rng.randrange(n)
+        r2, c2 = table[r1][x], table[x][c1]
+        if e in (r1, r2, c1, c2):
+            continue
+        bad = [row[:] for row in table]
+        a, b = table[r1][c1], table[r1][c2]
+        bad[r1][c1], bad[r1][c2], bad[r2][c1], bad[r2][c2] = b, a, a, b
+        out.append(bad)
+    return out
+
+
+@pytest.mark.parametrize("g", oracle_family(), ids=lambda g: g.name)
+def test_light_test_agrees_with_ordered_scan(g):
+    rng = random.Random(g.name)
+    verdicts = [is_group_by_scan(bad) for bad in intercalate_swaps(relabelled(g, rng), rng, 40)]
+    assert not all(verdicts)
+
+
+@pytest.mark.parametrize("g", [cyclic(1), cyclic(2)] + oracle_family(), ids=lambda g: g.name)
+def test_relabelled_groups_validate(g):
+    table = relabelled(g, random.Random(g.name))
+    h = group_from_cayley_table(table)
+    assert Counter(h.element_orders) == Counter(g.element_orders)
+    assert table[h.identity] == list(range(g.order))
+
+
+def reduced_latin_squares(n):
+    """Every Latin square on 0..n-1 whose row 0 and column 0 are 0, 1, ..., n-1."""
+    rows = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(c):
+        if c == len(cells):
+            yield [row[:] for row in rows]
+            return
+        i, j = cells[c]
+        used = set(rows[i][:j]) | {rows[r][j] for r in range(i)}
+        for v in range(n):
+            if v not in used:
+                rows[i][j] = v
+                yield from fill(c + 1)
+        rows[i][j] = None
+
+    yield from fill(0)
+
+
+def test_light_test_agrees_with_ordered_scan_on_every_small_loop():
+    # Every unital Latin square of order <= 6 up to labelling, each under a
+    # random relabelling.
+    rng = random.Random(0)
+    groups = Counter()
+    for n in range(1, 7):
+        for loop in reduced_latin_squares(n):
+            groups[n] += is_group_by_scan(relabel_table(loop, rng.sample(range(n), n)))
+    # (n-1)!/|Aut G| reduced Cayley tables per group G: C4 3 and C2xC2 1,
+    # C5 6, C6 60 and S3 20.
+    assert groups == {1: 1, 2: 1, 3: 1, 4: 4, 5: 6, 6: 80}
+
+
+def test_generating_sets():
+    # group -> least size of a generating set
+    c2_cubed = direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2))
+    rank = {cyclic(1): 0, cyclic(2): 1, cyclic(12): 1, c2_cubed: 3, quaternion8(): 2,
+            symmetric(4): 2}
+    for g, least in rank.items():
+        table = relabelled(g, random.Random(g.name))
+        identity = group_from_cayley_table(table).identity
+        gens = _generators(table, identity)
+        # each generator lies outside the subgroup of the earlier ones
+        span = {identity}
+        for gen in gens:
+            assert gen not in span
+            while True:
+                grown = span | {table[x][y] for x in span for y in span | {gen}}
+                if grown == span:
+                    break
+                span = grown
+        assert len(span) == g.order
+        # so each one at least doubles the subgroup reached so far
+        assert least <= len(gens) and 2 ** len(gens) <= g.order
 
 
 def test_empty_table():

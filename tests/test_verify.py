@@ -2,7 +2,8 @@
 
 import random
 
-from powergraphs import SimpleGraph, cyclic
+import powergraphs.verify
+from powergraphs import SimpleGraph, cyclic, direct_product, power_graph
 from powergraphs.verify import (
     FAMILY_SPECS,
     InstanceResult,
@@ -27,14 +28,16 @@ def test_family_respects_max_order():
 
 
 def test_product_pair_check_passes():
-    result = check_power_product_pair(cyclic(2), cyclic(3))
+    result = check_power_product_pair(cyclic(2), cyclic(3),
+                                      power_graph(direct_product(cyclic(2), cyclic(3))))
     assert result.passed
     assert result.subject == "C2 x C3"
     assert "13 edges" in result.detail
 
 
 def test_cartesian_obstruction_passes():
-    result = check_cartesian_obstruction(cyclic(2), cyclic(2))
+    result = check_cartesian_obstruction(cyclic(2), cyclic(2),
+                                         power_graph(direct_product(cyclic(2), cyclic(2))))
     assert result.passed
     assert "universal vertex" in result.detail
 
@@ -74,6 +77,22 @@ def test_verify_all_default_family():
     assert len(by_claim["power-product-identity"].instances) == 169
     assert len(by_claim["cartesian-obstruction"].instances) == 130
     assert len(by_claim["exponent-window"].instances) == 20
+
+
+def test_verify_all_builds_each_product_group_once(monkeypatch):
+    calls = []
+
+    def counted(g1, g2, **kwargs):
+        calls.append((g1.name, g2.name))
+        return direct_product(g1, g2, **kwargs)
+
+    monkeypatch.setattr(powergraphs.verify, "direct_product", counted)
+    reports = verify_all(max_order=36, seed=0)
+    by_claim = {r.claim: r for r in reports}
+    subjects = [inst.subject for inst in by_claim["power-product-identity"].instances]
+    assert [f"{a} x {b}" for a, b in calls] == subjects
+    assert len(calls) == 169
+    assert all(r.passed for r in reports)
 
 
 def test_verify_all_trivial_order():
