@@ -199,7 +199,7 @@ def graph_from_json(text: str) -> SimpleGraph:
         raise ValueError('"edges" must be an array of [i, j] pairs')
     pairs = []
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
+        if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
             raise ValueError(f'bad edge entry {e!r}; expected [i, j]')
         pairs.append((e[0], e[1]))
     return SimpleGraph(vertices, pairs)

@@ -39,8 +39,10 @@ class FiniteGroup:
 
     The identity is auto-detected from the table and element orders are
     computed eagerly at construction.  Instances are never mutated after
-    construction and are safe to share.  The constructor trusts its input;
-    use group_from_cayley_table to validate an untrusted table.
+    construction and are safe to share.  The constructor trusts its input and
+    keeps the table it is given, without copying it, so callers must not
+    change that table afterwards; use group_from_cayley_table to validate
+    (and copy) an untrusted table.
     """
 
     def __init__(self, table: list[list[int]], name: str = "G",
@@ -48,7 +50,7 @@ class FiniteGroup:
         self.order = len(table)
         if self.order == 0:
             raise InvalidOrder("a group has at least one element")
-        self.table = [list(row) for row in table]
+        self.table = table
         self.name = name
         if element_names is None:
             element_names = [str(i) for i in range(self.order)]
@@ -101,8 +103,7 @@ class FiniteGroup:
         return all(t[i][j] == t[j][i] for i in range(n) for j in range(i + 1, n))
 
 
-def group_from_cayley_table(table, name: str = "G",
-                            element_names: list[str] | None = None) -> FiniteGroup:
+def group_from_cayley_table(table, name: str = "G") -> FiniteGroup:
     """Validate an untrusted multiplication table and build the group.
 
     Checks run in the order closure, Latin square, identity, associativity;
@@ -118,20 +119,16 @@ def group_from_cayley_table(table, name: str = "G",
         for j, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                 raise NotClosed(f"entry {v!r} at row {i}, column {j} is not an index in 0..{n - 1}")
-    for i in range(n):
-        seen: dict[int, int] = {}
-        for j, v in enumerate(rows[i]):
-            if v in seen:
-                raise NotLatinSquare(f"row {i} repeats entry {v} at columns {seen[v]} and {j}")
-            seen[v] = j
-    for j in range(n):
-        seen = {}
-        for i in range(n):
-            v = rows[i][j]
-            if v in seen:
-                raise NotLatinSquare(f"column {j} repeats entry {v} at rows {seen[v]} and {i}")
-            seen[v] = i
-    group = FiniteGroup(rows, name=name, element_names=element_names)
+    # Each line is checked as a set; only a failing one is walked to name the cell.
+    for kind, lines, across in (("row", rows, "columns"), ("column", zip(*rows), "rows")):
+        for i, line in enumerate(lines):
+            if len(set(line)) == n:
+                continue
+            first: dict[int, int] = {}
+            for j, v in enumerate(line):
+                if first.setdefault(v, j) != j:
+                    raise NotLatinSquare(f"{kind} {i} repeats entry {v} at {across} {first[v]} and {j}")
+    group = FiniteGroup(rows, name=name)
     # Light's test.  The g with (x*g)*y = x*(g*y) for all x, y include the
     # identity and are closed under the product, so they include every element
     # reached from the identity by right multiplication with generators: all of them.
@@ -254,11 +251,6 @@ def quaternion8() -> FiniteGroup:
     return FiniteGroup(table, name="Q8", element_names=names)
 
 
-def pair_index(i: int, j: int, n2: int) -> int:
-    """Encoding of the pair (i, j) as a single index, fixed as i*n2 + j."""
-    return i * n2 + j
-
-
 def direct_product(g1: FiniteGroup, g2: FiniteGroup,
                    cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Direct product with componentwise multiplication.
@@ -277,7 +269,7 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup,
     return FiniteGroup(table, name=f"{g1.name}x{g2.name}", element_names=names)
 
 
-def load_cayley_table(path: str | Path, name: str | None = None) -> FiniteGroup:
+def load_cayley_table(path: str | Path) -> FiniteGroup:
     """Load and validate a group from a text Cayley table.
 
     Format: first line is n, then n lines of n whitespace-separated 0-based
@@ -314,7 +306,7 @@ def load_cayley_table(path: str | Path, name: str | None = None) -> FiniteGroup:
         except ValueError:
             bad = next(tok for tok in tokens if not _is_int(tok))
             raise ValueError(f"{path}:{lineno}: invalid entry {bad!r}") from None
-    return group_from_cayley_table(rows, name=name if name is not None else path.stem)
+    return group_from_cayley_table(rows, name=path.stem)
 
 
 def _is_int(token: str) -> bool:

@@ -12,14 +12,12 @@ cartesian adjacency (elsewhere called the strong product).
 from itertools import chain
 
 from .graphs import SimpleGraph
-from .groups import pair_index
 from .power import WeightTable
 from .progressions import APPair, SENTINEL, aps_intersect_positively
 
 DEFAULT_SIZE_CAP = 10000
 
 PRODUCT_KINDS = ("direct", "cartesian", "normal", "generalized")
-WEIGHT_KINDS = ("direct", "cartesian-left", "cartesian-right", "normal")
 
 # classical_weights: (arc value, diagonal value) per kind.
 _WEIGHT_CASES = {
@@ -46,8 +44,8 @@ def _direct_edges(a: SimpleGraph, b: SimpleGraph):
     edges_b = b.edges()
     for u1, v1 in a.edges():
         for u2, v2 in edges_b:
-            yield pair_index(u1, u2, nb), pair_index(v1, v2, nb)
-            yield pair_index(u1, v2, nb), pair_index(v1, u2, nb)
+            yield u1 * nb + u2, v1 * nb + v2
+            yield u1 * nb + v2, v1 * nb + u2
 
 
 def _cartesian_edges(a: SimpleGraph, b: SimpleGraph):
@@ -55,10 +53,10 @@ def _cartesian_edges(a: SimpleGraph, b: SimpleGraph):
     edges_b = b.edges()
     for v1 in range(a.vertex_count):
         for u2, v2 in edges_b:
-            yield pair_index(v1, u2, nb), pair_index(v1, v2, nb)
+            yield v1 * nb + u2, v1 * nb + v2
     for u1, v1 in a.edges():
         for v2 in range(nb):
-            yield pair_index(u1, v2, nb), pair_index(v1, v2, nb)
+            yield u1 * nb + v2, v1 * nb + v2
 
 
 def direct_product_graph(a: SimpleGraph, b: SimpleGraph,
@@ -95,7 +93,7 @@ def generalized_product_graph(a: SimpleGraph, wa: WeightTable,
     for g1 in range(na):
         for g2 in range(nb):
             # y walks the indices of the pairs (h1, h2) after x in encoding order.
-            x = y = pair_index(g1, g2, nb)
+            x = y = g1 * nb + g2
             row2 = wb[g2]
             for h1 in range(g1, na):
                 forward, back = wa[g1][h1], wa[h1][g1]
@@ -123,7 +121,7 @@ def classical_weights(kind: str, g: SimpleGraph) -> WeightTable:
     distinct pairs always carry the sentinel.
     """
     if kind not in _WEIGHT_CASES:
-        raise ValueError(f"unknown weight kind {kind!r}; expected one of {', '.join(WEIGHT_KINDS)}")
+        raise ValueError(f"unknown weight kind {kind!r}; expected one of {', '.join(_WEIGHT_CASES)}")
     arc, diagonal = _WEIGHT_CASES[kind]
     n = g.vertex_count
     return [[arc if g.adjacent(u, v) else diagonal if u == v else SENTINEL

@@ -136,14 +136,12 @@ def check_exponent_windows(g: FiniteGroup) -> InstanceResult:
     return InstanceResult(g.name, True, f"{g.order * g.order} ordered pairs checked")
 
 
-def random_graph(rng: random.Random, n: int, edge_probability: float = 0.5) -> SimpleGraph:
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if rng.random() < edge_probability]
+def random_graph(rng: random.Random, n: int) -> SimpleGraph:
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
     return SimpleGraph([str(v) for v in range(n)], edges)
 
 
-def check_classical_weights(kind: str, seed: int = DEFAULT_SEED,
-                            trials: int = RANDOM_TRIALS) -> list[InstanceResult]:
+def check_classical_weights(kind: str, seed: int = DEFAULT_SEED) -> list[InstanceResult]:
     """Weighted product vs one classical product on seeded random graph pairs."""
     classical = {"direct": direct_product_graph,
                  "cartesian": cartesian_product_graph,
@@ -153,7 +151,7 @@ def check_classical_weights(kind: str, seed: int = DEFAULT_SEED,
                     "normal": ("normal", "normal")}[kind]
     rng = random.Random(f"{seed}:{kind}")
     results = []
-    for trial in range(trials):
+    for trial in range(RANDOM_TRIALS):
         a = random_graph(rng, rng.randint(1, RANDOM_MAX_VERTICES))
         b = random_graph(rng, rng.randint(1, RANDOM_MAX_VERTICES))
         subject = (f"trial {trial:02d}: {a.vertex_count}x{b.vertex_count} vertices, "

@@ -134,6 +134,16 @@ def test_iso_bad_file(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_iso_rejects_boolean_vertex_index(tmp_path, capsys):
+    bad = tmp_path / "bool.json"
+    bad.write_text('{"vertices":["a","b"],"edges":[[true,false]]}')
+    write_graph(tmp_path / "k2.json", power_graph(cyclic(2)))
+    code, out, err = run(capsys, "iso", str(bad), str(tmp_path / "k2.json"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "bad edge entry" in err
+
+
 def test_stats_c6(capsys):
     code, out, _ = run(capsys, "stats", "C6")
     assert code == 0

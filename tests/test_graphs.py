@@ -223,5 +223,7 @@ def test_json_parse_errors():
         graph_from_json('{"vertices": [0], "edges": []}')
     with pytest.raises(ValueError):
         graph_from_json('{"vertices": ["a", "b"], "edges": [[0]]}')
+    with pytest.raises(ValueError, match=r"bad edge entry \[True, False\]"):
+        graph_from_json('{"vertices": ["a", "b"], "edges": [[true, false]]}')
     with pytest.raises(json.JSONDecodeError):
         graph_from_json("not json")

@@ -22,7 +22,7 @@ from powergraphs import (
     quaternion8,
     symmetric,
 )
-from powergraphs.groups import _generators, pair_index
+from powergraphs.groups import _generators
 
 # Latin square whose only identity-shaped row (row 0) fails columnwise,
 # so there is no two-sided identity.
@@ -243,6 +243,79 @@ def test_generating_sets():
         assert least <= len(gens) and 2 ** len(gens) <= g.order
 
 
+def first_fault(table):
+    """Slow oracle: the (exception type, text) validation must raise, or None.
+
+    Checks in order: shape and closure row by row, row repeats, column
+    repeats, a two-sided identity, then the first non-associative triple.
+    """
+    n = len(table)
+    for i, row in enumerate(table):
+        if len(row) != n:
+            return ValueError, f"table is not square: row {i} has {len(row)} entries, expected {n}"
+        for j, v in enumerate(row):
+            if type(v) is not int or not 0 <= v < n:
+                return NotClosed, f"entry {v!r} at row {i}, column {j} is not an index in 0..{n - 1}"
+    for kind, across, cell in (("row", "columns", lambda i, j: table[i][j]),
+                               ("column", "rows", lambda i, j: table[j][i])):
+        for i in range(n):
+            for j in range(n):
+                for k in range(j):
+                    if cell(i, k) == cell(i, j):
+                        return NotLatinSquare, f"{kind} {i} repeats entry {cell(i, j)} at {across} {k} and {j}"
+    if not any(all(table[e][x] == x == table[x][e] for x in range(n)) for e in range(n)):
+        return NoIdentity, f"no identity element in table of order {n}"
+    violation = first_violation(table)
+    if violation is None:
+        return None
+    i, j, k, left, right = violation
+    return NotAssociative, f"({i}*{j})*{k} = {left} but {i}*({j}*{k}) = {right}"
+
+
+def faulty_tables(rng, count):
+    """Seeded tables of order <= 9: relabelled group and loop tables, half of
+    them with rows and columns shuffled, each with up to four faults (two
+    cells of a row swapped, which repeats entries in columns only, or one
+    cell overwritten) and a few with a short row."""
+    loops = [NONASSOCIATIVE] + intercalate_swaps(dihedral(4).table, random.Random(0), 4)
+    bases = [g.table for g in small_family() if g.order <= 9] + loops
+    for _ in range(count):
+        base = rng.choice(bases)
+        n = len(base)
+        table = relabel_table(base, rng.sample(range(n), n))
+        if rng.random() < 0.5:
+            # An isotope: still a Latin square, but often without identity or associativity.
+            rp, cp = rng.sample(range(n), n), rng.sample(range(n), n)
+            table = [[table[r][c] for c in cp] for r in rp]
+        for _ in range(rng.randrange(5)):
+            row, j, k, r = table[rng.randrange(n)], rng.randrange(n), rng.randrange(n), rng.random()
+            if r < 0.45:
+                row[j], row[k] = row[k], row[j]
+            else:
+                row[j] = rng.randrange(n) if r < 0.85 else rng.choice((-1, n, n + 3, True, False, 1.0, "1"))
+        if rng.random() < 0.03:
+            table[rng.randrange(n)].pop()
+        yield table
+
+
+def test_validation_agrees_with_ordered_first_fault_scan():
+    outcomes = Counter()
+    for table in faulty_tables(random.Random(4), 3000):
+        expected = first_fault(table)
+        if expected is None:
+            assert group_from_cayley_table(table).order == len(table)
+            outcomes["group"] += 1
+            continue
+        kind, text = expected
+        with pytest.raises(ValueError) as info:
+            group_from_cayley_table(table)
+        assert (type(info.value), str(info.value)) == (kind, text)
+        outcomes[text.split()[0] if kind is NotLatinSquare else kind.__name__] += 1
+    # every check, and both Latin directions, decides some of the tables
+    assert set(outcomes) == {"group", "ValueError", "NotClosed", "row", "column",
+                             "NoIdentity", "NotAssociative"}
+
+
 def test_empty_table():
     with pytest.raises(InvalidOrder):
         group_from_cayley_table([])
@@ -256,6 +329,21 @@ def test_ragged_table():
 def test_constructor_rejects_wrong_name_count():
     with pytest.raises(ValueError, match="element names"):
         FiniteGroup([[0]], element_names=["a", "b"])
+
+
+def test_constructor_keeps_its_table():
+    t = [[0, 1], [1, 0]]
+    assert FiniteGroup(t).table is t
+
+
+def test_validated_group_does_not_share_the_input_table():
+    t = [[0, 1], [1, 0]]
+    g = group_from_cayley_table(t)
+    t[0][0] = 1
+    t[1].append(2)
+    t.append([0, 0])
+    assert g.table == [[0, 1], [1, 0]]
+    assert g.order == 2 and g.element_orders == [1, 2]
 
 
 def test_cyclic_orders():
@@ -370,17 +458,19 @@ def test_exponent_sets_are_progressions():
 
 
 def test_pair_encoding_round_trip():
-    for n2 in (1, 2, 5):
-        for i in range(4):
-            for j in range(n2):
-                assert divmod(pair_index(i, j, n2), n2) == (i, j)
+    for g1 in (cyclic(1), cyclic(3), dihedral(2)):
+        for g2 in (cyclic(1), cyclic(2), dihedral(3)):
+            g, n2 = direct_product(g1, g2), g2.order
+            for i in range(g1.order):
+                for j in range(n2):
+                    assert g.element_names[i * n2 + j] == f"({g1.element_names[i]},{g2.element_names[j]})"
 
 
 def test_direct_product_basics():
     v4 = direct_product(cyclic(2), cyclic(2))
     assert v4.order == 4
     assert v4.name == "C2xC2"
-    one_one = pair_index(1, 1, 2)
+    one_one = 1 * 2 + 1
     assert v4.element_order(one_one) == 2
     assert v4.element_names[one_one] == "(1,1)"
 
@@ -391,7 +481,7 @@ def test_direct_product_is_componentwise():
         for i2 in range(4):
             for j1 in range(3):
                 for j2 in range(4):
-                    x = g.table[pair_index(i1, i2, 4)][pair_index(j1, j2, 4)]
+                    x = g.table[i1 * 4 + i2][j1 * 4 + j2]
                     assert divmod(x, 4) == ((i1 + j1) % 3, (i2 + j2) % 4)
 
 
