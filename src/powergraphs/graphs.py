@@ -5,7 +5,7 @@ output readable.
 """
 
 import json
-from collections import Counter, defaultdict
+from collections import Counter
 from typing import Iterable
 
 DEFAULT_ISO_CAP = 200
@@ -42,9 +42,6 @@ class SimpleGraph:
 
     def adjacent(self, u: int, v: int) -> bool:
         return v in self._adj[u]
-
-    def neighbors(self, u: int) -> set[int]:
-        return self._adj[u]
 
     def degree(self, u: int) -> int:
         return len(self._adj[u])
@@ -83,12 +80,13 @@ def are_isomorphic(a: SimpleGraph, b: SimpleGraph,
                    cap: int = DEFAULT_ISO_CAP) -> tuple[bool, list[int] | None]:
     """Exact isomorphism test with a witness permutation.
 
-    Vertices are first partitioned by iterated neighborhood-degree
-    refinement (colors renamed jointly across the two graphs); backtracking
-    then maps each vertex only onto vertices of the same stable color,
-    trying candidates in ascending index order, so any witness found is
-    deterministic.  Returns (True, perm) with b adjacency at (perm[u],
-    perm[v]) matching a at (u, v), or (False, None).
+    Individualization-refinement (McKay & Piperno, "Practical graph
+    isomorphism, II"): each search node refines both graphs' colors jointly
+    until stable and tries the map pairing each color class in index order.
+    If it breaks an edge, the first vertex of a's lowest non-singleton class
+    gets a new color, as does, in turn and in index order, each vertex of
+    that class in b.  The witness is deterministic.  Returns (True, perm)
+    with b adjacency at (perm[u], perm[v]) matching a at (u, v), or (False, None).
     """
     if a.vertex_count > cap or b.vertex_count > cap:
         raise TooLarge(f"isomorphism cap is {cap} vertices")
@@ -99,58 +97,52 @@ def are_isomorphic(a: SimpleGraph, b: SimpleGraph,
         return True, []
     if a.degree_sequence() != b.degree_sequence():
         return False, None
+    perm = _search(a, b, [0] * n, [0] * n)
+    return perm is not None, perm
 
-    colors = _stable_colors(a, b)
+
+def _search(a: SimpleGraph, b: SimpleGraph,
+            color_a: list[int], color_b: list[int]) -> list[int] | None:
+    """A witness that maps each color class of a onto the same class of b, or None."""
+    colors = _stable_colors(a, b, color_a, color_b)
     if colors is None:
-        return False, None
+        return None
     color_a, color_b = colors
-
-    by_color = defaultdict(list)
-    for w in range(n):
-        by_color[color_b[w]].append(w)
-    candidates = [by_color[color_a[v]] for v in range(n)]
-
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(v: int) -> bool:
-        if v == n:
-            return True
-        nbrs_a = a._adj[v]
-        for w in candidates[v]:
-            if used[w]:
-                continue
-            nbrs_b = b._adj[w]
-            if all((mapping[u] in nbrs_b) == (u in nbrs_a) for u in range(v)):
-                mapping[v] = w
-                used[w] = True
-                if extend(v + 1):
-                    return True
-                used[w] = False
-                mapping[v] = -1
-        return False
-
-    if extend(0):
-        return True, list(mapping)
-    return False, None
-
-
-def _stable_colors(a: SimpleGraph, b: SimpleGraph) -> tuple[list[int], list[int]] | None:
-    """Jointly-renamed stable refinement colors, or None on histogram mismatch."""
     n = a.vertex_count
-    color_a, color_b = _rename([a.degree(v) for v in range(n)],
-                               [b.degree(v) for v in range(n)])
+    perm = [0] * n
+    for v, w in zip(sorted(range(n), key=color_a.__getitem__),
+                    sorted(range(n), key=color_b.__getitem__)):
+        perm[v] = w
+    # Equal edge counts make an edge-preserving bijection an isomorphism.
+    if all(perm[u] in b._adj[perm[v]] for v in range(n) for u in a._adj[v]):
+        return perm
+    # A stable coloring of singletons pairs equal signatures, so it passed above.
+    cell = min(c for c, size in Counter(color_a).items() if size > 1)
+    # Stable colors are 0..k-1 with k <= n, so n is a new color.
+    v = color_a.index(cell)
+    for w in range(n):
+        if color_b[w] == cell:
+            perm = _search(a, b, color_a[:v] + [n] + color_a[v + 1:],
+                           color_b[:w] + [n] + color_b[w + 1:])
+            if perm is not None:
+                return perm
+    return None
+
+
+def _stable_colors(a: SimpleGraph, b: SimpleGraph, color_a: list[int],
+                   color_b: list[int]) -> tuple[list[int], list[int]] | None:
+    """Jointly-renamed stable refinement of the given colors, or None on histogram mismatch."""
+    n = a.vertex_count
     while True:
         sig_a = [(color_a[v], tuple(sorted(color_a[u] for u in a._adj[v]))) for v in range(n)]
         sig_b = [(color_b[v], tuple(sorted(color_b[u] for u in b._adj[v]))) for v in range(n)]
         new_a, new_b = _rename(sig_a, sig_b)
-        # Signatures embed the old color, so classes only ever split.
-        if len(set(new_a) | set(new_b)) == len(set(color_a) | set(color_b)):
-            break
+        if Counter(new_a) != Counter(new_b):
+            return None
+        # Signatures embed the old color, so classes only split: stable when none did.
+        if len(set(new_a)) == len(set(color_a)):
+            return new_a, new_b
         color_a, color_b = new_a, new_b
-    if Counter(color_a) != Counter(color_b):
-        return None
-    return color_a, color_b
 
 
 def _rename(sig_a: list, sig_b: list) -> tuple[list[int], list[int]]:
@@ -188,7 +180,10 @@ def _dot_quote(label: str) -> str:
 
 def graph_from_json(text: str) -> SimpleGraph:
     """Parse the json export format back into a graph."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON is nested too deeply") from None
     if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
         raise ValueError('expected an object with "vertices" and "edges"')
     vertices = data["vertices"]

@@ -296,17 +296,21 @@ def load_cayley_table(path: str | Path) -> FiniteGroup:
         raise OrderOverflow(f"{path}:{header_line}: order {n} exceeds cap {DEFAULT_ORDER_CAP}")
     if len(lines) - 1 != n:
         raise ValueError(f"{path}: expected {n} table rows, got {len(lines) - 1}")
-    rows = []
-    for lineno, text in lines[1:]:
-        tokens = text.split()
-        if len(tokens) != n:
-            raise ValueError(f"{path}:{lineno}: expected {n} entries, got {len(tokens)}")
-        try:
-            rows.append([int(tok) for tok in tokens])
-        except ValueError:
-            bad = next(tok for tok in tokens if not _is_int(tok))
-            raise ValueError(f"{path}:{lineno}: invalid entry {bad!r}") from None
-    return group_from_cayley_table(rows, name=path.stem)
+
+    # Rows are parsed while the validator copies them, so the table is held once.
+    def rows():
+        for lineno, text in lines[1:]:
+            tokens = text.split()
+            if len(tokens) != n:
+                raise ValueError(f"{path}:{lineno}: expected {n} entries, got {len(tokens)}")
+            try:
+                row = [int(tok) for tok in tokens]
+            except ValueError:
+                bad = next(tok for tok in tokens if not _is_int(tok))
+                raise ValueError(f"{path}:{lineno}: invalid entry {bad!r}") from None
+            yield row
+
+    return group_from_cayley_table(rows(), name=path.stem)
 
 
 def _is_int(token: str) -> bool:

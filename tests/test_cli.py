@@ -144,6 +144,17 @@ def test_iso_rejects_boolean_vertex_index(tmp_path, capsys):
     assert err.startswith("error:") and "bad edge entry" in err
 
 
+def test_iso_rejects_deeply_nested_json(tmp_path, capsys):
+    write_graph(tmp_path / "k2.json", power_graph(cyclic(2)))
+    deep = "[" * 100_000
+    for name, text in (("deep.json", deep), ("edges.json", '{"vertices":["a","b"],"edges":' + deep)):
+        (tmp_path / name).write_text(text)
+        code, out, err = run(capsys, "iso", str(tmp_path / name), str(tmp_path / "k2.json"))
+        assert code == 2
+        assert out == ""
+        assert err == "error: JSON is nested too deeply\n"
+
+
 def test_stats_c6(capsys):
     code, out, _ = run(capsys, "stats", "C6")
     assert code == 0

@@ -10,10 +10,13 @@ from powergraphs import (
     SimpleGraph,
     TooLarge,
     are_isomorphic,
+    cyclic,
     export,
     graph_from_json,
     graphs_equal_labeled,
     has_universal_vertex,
+    parse_group_spec,
+    power_graph,
     relabel,
 )
 
@@ -59,7 +62,7 @@ def test_basic_counts():
     assert g.adjacent(0, 1) and g.adjacent(1, 0)
     assert not g.adjacent(0, 2)
     assert g.degree(1) == 2
-    assert g.neighbors(1) == {0, 2}
+    assert [v for v in range(3) if g.adjacent(1, v)] == [0, 2]
 
 
 def test_duplicate_edges_collapse():
@@ -163,6 +166,132 @@ def test_iso_agrees_with_permutation_search():
         assert iso == are_isomorphic(b, a)[0]
         if iso:
             check_witness(a, b, witness)
+
+
+def random_cubic(rng, n):
+    """Pairing model, retried until the graph is simple."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = {(min(u, v), max(u, v)) for u, v in zip(stubs[::2], stubs[1::2]) if u != v}
+        if len(edges) == 3 * n // 2:
+            return SimpleGraph(labels(n), edges)
+
+
+def triangles(g):
+    return sum(1 for u, v in g.edges() for w in range(v + 1, g.vertex_count)
+               if g.adjacent(u, w) and g.adjacent(v, w))
+
+
+def test_iso_relabelled_power_graphs_of_products():
+    rng = random.Random(5)
+    for spec in ("S3xS3", "C6xC6xC5"):
+        g = power_graph(parse_group_spec(spec))
+        h = relabel(g, shuffled(rng, g.vertex_count))
+        iso, witness = are_isomorphic(g, h)
+        assert iso
+        check_witness(g, h, witness)
+
+
+def test_iso_rejects_cubic_pairs_with_different_triangle_counts():
+    # Refinement cannot split a regular graph, so the search does the work.
+    rng = random.Random(3)
+    for n in (20, 30):
+        for _ in range(3):
+            a = random_cubic(rng, n)
+            b = random_cubic(rng, n)
+            while triangles(b) == triangles(a):
+                b = random_cubic(rng, n)
+            assert are_isomorphic(a, b) == (False, None)
+
+
+def test_iso_tries_each_vertex_of_the_class():
+    """C6 plus two triangles: refinement cannot split it, and vertex 0 of a
+    lies on the hexagon while the first vertices of b lie on triangles."""
+    hexagon = [(v, (v + 1) % 6) for v in range(6)]
+    two_triangles = [(s + i, s + j) for s in (0, 3) for i, j in ((0, 1), (1, 2), (0, 2))]
+    a = SimpleGraph(labels(12), hexagon + [(u + 6, v + 6) for u, v in two_triangles])
+    b = SimpleGraph(labels(12), two_triangles + [(u + 6, v + 6) for u, v in hexagon])
+    iso, witness = are_isomorphic(a, b)
+    assert iso
+    check_witness(a, b, witness)
+    rng = random.Random(6)
+    for _ in range(50):
+        h = relabel(a, shuffled(rng, 12))
+        iso, witness = are_isomorphic(a, h)
+        assert iso
+        check_witness(a, h, witness)
+
+
+def test_iso_strongly_regular_pair():
+    """Shrikhande graph and 4x4 rook's graph: both SRG(16, 6, 2, 2), not isomorphic."""
+    cells = [(i, j) for i in range(4) for j in range(4)]
+    steps = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+    shrikhande = SimpleGraph(labels(16), [
+        (x, y) for x in range(16) for y in range(x + 1, 16)
+        if ((cells[y][0] - cells[x][0]) % 4, (cells[y][1] - cells[x][1]) % 4) in steps])
+    rook = SimpleGraph(labels(16), [
+        (x, y) for x in range(16) for y in range(x + 1, 16)
+        if (cells[x][0] == cells[y][0]) != (cells[x][1] == cells[y][1])])
+    assert shrikhande.degree_sequence() == rook.degree_sequence() == [6] * 16
+    assert are_isomorphic(shrikhande, rook) == (False, None)
+    assert are_isomorphic(rook, shrikhande) == (False, None)
+    rng = random.Random(2)
+    for g in (shrikhande, rook):
+        h = relabel(g, shuffled(rng, 16))
+        iso, witness = are_isomorphic(g, h)
+        assert iso
+        check_witness(g, h, witness)
+
+
+def test_iso_relabelled_twin_classes_at_the_cap():
+    rng = random.Random(4)
+    biclique = SimpleGraph(labels(200), [(u, v) for u in range(100) for v in range(100, 200)])
+    for g in (complete(200), biclique, power_graph(cyclic(200))):
+        h = relabel(g, shuffled(rng, 200))
+        iso, witness = are_isomorphic(g, h)
+        assert iso
+        check_witness(g, h, witness)
+
+
+def edge_swapped(rng, g, tries):
+    """g after random double-edge swaps (uv, xy -> uy, xv), which keep every degree."""
+    edges = set(g.edges())
+    for _ in range(tries):
+        if len(edges) < 2:
+            break
+        (u, v), (x, y) = rng.sample(sorted(edges), 2)
+        if rng.random() < 0.5:
+            x, y = y, x
+        new = {(min(u, y), max(u, y)), (min(x, v), max(x, v))}
+        if len({u, v, x, y}) == 4 and not new & edges:
+            edges -= {(u, v), (x, y), (y, x)}
+            edges |= new
+    return SimpleGraph(labels(g.vertex_count), edges)
+
+
+def test_iso_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(13)
+    decided = {True: 0, False: 0}
+    for i in range(2000):
+        n = rng.randint(1, 10)
+        a = random_gnp(rng, n, rng.choice((0.3, 0.5, 0.7)))
+        # Relabellings, or graphs with the same degrees, so refinement and
+        # search rather than the degree test decide most pairs.
+        b = edge_swapped(rng, a, 20) if i % 2 else a
+        b = relabel(b, shuffled(rng, n))
+        na, nb = nx.Graph(), nx.Graph()
+        for g, ng in ((a, na), (b, nb)):
+            ng.add_nodes_from(range(n))
+            ng.add_edges_from(g.edges())
+        iso, witness = are_isomorphic(a, b)
+        assert iso == nx.is_isomorphic(na, nb)
+        assert a.degree_sequence() == b.degree_sequence()
+        if iso:
+            check_witness(a, b, witness)
+        decided[iso] += 1
+    assert decided[False] > 250
 
 
 def test_universal_vertex():
