@@ -26,7 +26,6 @@ from .graphs import (
     graph_from_json,
     graphs_equal_labeled,
     has_universal_vertex,
-    relabel,
 )
 from .power import PowerGraphBundle, exponent_set_window, power_graph, power_graph_bundle, power_weights
 from .products import (
@@ -81,6 +80,5 @@ __all__ = [
     "power_graph_bundle",
     "power_weights",
     "quaternion8",
-    "relabel",
     "symmetric",
 ]

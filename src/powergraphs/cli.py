@@ -141,7 +141,9 @@ def _cmd_product(args: argparse.Namespace) -> int:
 def _cmd_verify_theorem(args: argparse.Namespace) -> int:
     g1 = parse_group_spec(args.spec1)
     g2 = parse_group_spec(args.spec2)
-    result = check_power_product_pair(g1, g2, power_graph(direct_product(g1, g2)))
+    # P(G1 x G2) first: it enforces the order cap before the factors' weight tables are built.
+    pg = power_graph(direct_product(g1, g2))
+    result = check_power_product_pair(power_graph_bundle(g1), power_graph_bundle(g2), pg)
     status = "PASS" if result.passed else "FAIL"
     print(f"power-product-identity [{result.subject}]: {status} ({result.detail})")
     return 0 if result.passed else 1

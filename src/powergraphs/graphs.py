@@ -59,25 +59,13 @@ def graphs_equal_labeled(a: SimpleGraph, b: SimpleGraph) -> bool:
     return a.vertex_count == b.vertex_count and a._adj == b._adj
 
 
-def relabel(g: SimpleGraph, perm: list[int]) -> SimpleGraph:
-    """Image of g under the vertex permutation v -> perm[v]."""
-    n = g.vertex_count
-    if sorted(perm) != list(range(n)):
-        raise ValueError("perm is not a permutation of the vertex indices")
-    labels = [""] * n
-    for v in range(n):
-        labels[perm[v]] = g.labels[v]
-    return SimpleGraph(labels, [(perm[u], perm[v]) for u, v in g.edges()])
-
-
 def has_universal_vertex(g: SimpleGraph) -> bool:
     """True iff some vertex is adjacent to all others (so always for K1)."""
     full = g.vertex_count - 1
     return any(len(nbrs) == full for nbrs in g._adj)
 
 
-def are_isomorphic(a: SimpleGraph, b: SimpleGraph,
-                   cap: int = DEFAULT_ISO_CAP) -> tuple[bool, list[int] | None]:
+def are_isomorphic(a: SimpleGraph, b: SimpleGraph) -> tuple[bool, list[int] | None]:
     """Exact isomorphism test with a witness permutation.
 
     Individualization-refinement (McKay & Piperno, "Practical graph
@@ -88,8 +76,8 @@ def are_isomorphic(a: SimpleGraph, b: SimpleGraph,
     that class in b.  The witness is deterministic.  Returns (True, perm)
     with b adjacency at (perm[u], perm[v]) matching a at (u, v), or (False, None).
     """
-    if a.vertex_count > cap or b.vertex_count > cap:
-        raise TooLarge(f"isomorphism cap is {cap} vertices")
+    if a.vertex_count > DEFAULT_ISO_CAP or b.vertex_count > DEFAULT_ISO_CAP:
+        raise TooLarge(f"isomorphism cap is {DEFAULT_ISO_CAP} vertices")
     if a.vertex_count != b.vertex_count or a.edge_count != b.edge_count:
         return False, None
     n = a.vertex_count

@@ -85,18 +85,6 @@ class FiniteGroup:
             orders.append(k)
         return orders
 
-    def _check_element(self, a: int) -> None:
-        if not 0 <= a < self.order:
-            raise IndexError(f"element {a} out of range for group of order {self.order}")
-
-    def elements(self) -> range:
-        return range(self.order)
-
-    def element_order(self, a: int) -> int:
-        """Least k >= 1 with a^k equal to the identity."""
-        self._check_element(a)
-        return self.element_orders[a]
-
     def is_abelian(self) -> bool:
         t = self.table
         n = self.order
@@ -251,8 +239,7 @@ def quaternion8() -> FiniteGroup:
     return FiniteGroup(table, name="Q8", element_names=names)
 
 
-def direct_product(g1: FiniteGroup, g2: FiniteGroup,
-                   cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     """Direct product with componentwise multiplication.
 
     The pair (i, j) becomes index i*g2.order + j; power graphs and graph
@@ -261,8 +248,8 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup,
     """
     n1, n2 = g1.order, g2.order
     n = n1 * n2
-    if n > cap:
-        raise OrderOverflow(f"product order {n} exceeds cap {cap}")
+    if n > DEFAULT_ORDER_CAP:
+        raise OrderOverflow(f"product order {n} exceeds cap {DEFAULT_ORDER_CAP}")
     # Row (i1, i2) lists (i1*j1, i2*j2) over the columns (j1, j2) in index order.
     table = [[x1 * n2 + x2 for x1 in t1 for x2 in t2] for t1 in g1.table for t2 in g2.table]
     names = [f"({a},{b})" for a in g1.element_names for b in g2.element_names]

@@ -10,7 +10,6 @@ used inside product expressions.
 from functools import reduce
 
 from .groups import (
-    DEFAULT_ORDER_CAP,
     FiniteGroup,
     OrderOverflow,
     cyclic,
@@ -30,23 +29,19 @@ class ParseError(ValueError):
         self.position = position
 
 
-def parse_group_spec(text: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def parse_group_spec(text: str) -> FiniteGroup:
     """Parse and build the group denoted by a spec like C6, D4xQ8, or cayley:g.tbl.
 
-    Every atom and every partial product must have order at most cap.
+    An atom or partial product over the order cap is rejected by its builder
+    before its table is allocated; an atom's error names its position.
     """
     factors = []
     for atom in _tokenize(text):
-        kind, value, position = atom
-        # C<n> and D<n> are checked before their tables are allocated; the
-        # other atoms are at most order 120 or bounded by the loader.
-        if kind in ("C", "D") and value * (2 if kind == "D" else 1) > cap:
-            raise OrderOverflow(f"{kind}{value} exceeds order cap {cap} (position {position})")
-        group = _build_atom(atom)
-        if group.order > cap:
-            raise OrderOverflow(f"{group.name} has order {group.order}, above cap {cap} (position {position})")
-        factors.append(group)
-    return reduce(lambda g1, g2: direct_product(g1, g2, cap=cap), factors)
+        try:
+            factors.append(_build_atom(atom))
+        except OrderOverflow as exc:
+            raise OrderOverflow(f"{exc} (position {atom[2]})") from None
+    return reduce(direct_product, factors)
 
 
 def _tokenize(text: str) -> list[tuple[str, str | int | None, int]]:

@@ -62,8 +62,10 @@ def exponent_set_window(g: FiniteGroup, a: int, b: int, bound: int) -> set[int]:
     The brute-force side of the progression checks; bound is capped at
     10*o(a) to keep windows at sanity scale.
     """
-    o_a = g.element_order(a)
-    g._check_element(b)
+    for x in (a, b):
+        if not 0 <= x < g.order:
+            raise IndexError(f"element {x} out of range for group of order {g.order}")
+    o_a = g.element_orders[a]
     if bound < 1 or bound > 10 * o_a:
         raise ValueError(f"bound must be in [1, {10 * o_a}], got {bound}")
     hits = set()

@@ -32,10 +32,10 @@ class SizeCap(ValueError):
     pass
 
 
-def _product_labels(a: SimpleGraph, b: SimpleGraph, cap: int) -> list[str]:
+def _product_labels(a: SimpleGraph, b: SimpleGraph) -> list[str]:
     n = a.vertex_count * b.vertex_count
-    if n > cap:
-        raise SizeCap(f"product on {n} vertices exceeds cap {cap}")
+    if n > DEFAULT_SIZE_CAP:
+        raise SizeCap(f"product on {n} vertices exceeds cap {DEFAULT_SIZE_CAP}")
     return [f"({la},{lb})" for la in a.labels for lb in b.labels]
 
 
@@ -59,27 +59,23 @@ def _cartesian_edges(a: SimpleGraph, b: SimpleGraph):
             yield u1 * nb + v2, v1 * nb + v2
 
 
-def direct_product_graph(a: SimpleGraph, b: SimpleGraph,
-                         cap: int = DEFAULT_SIZE_CAP) -> SimpleGraph:
+def direct_product_graph(a: SimpleGraph, b: SimpleGraph) -> SimpleGraph:
     """(g1, g2) ~ (h1, h2) iff g1 ~ h1 and g2 ~ h2."""
-    return SimpleGraph(_product_labels(a, b, cap), _direct_edges(a, b))
+    return SimpleGraph(_product_labels(a, b), _direct_edges(a, b))
 
 
-def cartesian_product_graph(a: SimpleGraph, b: SimpleGraph,
-                            cap: int = DEFAULT_SIZE_CAP) -> SimpleGraph:
+def cartesian_product_graph(a: SimpleGraph, b: SimpleGraph) -> SimpleGraph:
     """(g1, g2) ~ (h1, h2) iff the pairs agree in one slot and are adjacent in the other."""
-    return SimpleGraph(_product_labels(a, b, cap), _cartesian_edges(a, b))
+    return SimpleGraph(_product_labels(a, b), _cartesian_edges(a, b))
 
 
-def normal_product_graph(a: SimpleGraph, b: SimpleGraph,
-                         cap: int = DEFAULT_SIZE_CAP) -> SimpleGraph:
+def normal_product_graph(a: SimpleGraph, b: SimpleGraph) -> SimpleGraph:
     """Union of direct and cartesian adjacency."""
-    return SimpleGraph(_product_labels(a, b, cap), chain(_direct_edges(a, b), _cartesian_edges(a, b)))
+    return SimpleGraph(_product_labels(a, b), chain(_direct_edges(a, b), _cartesian_edges(a, b)))
 
 
 def generalized_product_graph(a: SimpleGraph, wa: WeightTable,
-                              b: SimpleGraph, wb: WeightTable,
-                              cap: int = DEFAULT_SIZE_CAP) -> SimpleGraph:
+                              b: SimpleGraph, wb: WeightTable) -> SimpleGraph:
     """Weighted product: distinct pairs are adjacent iff the two factors'
     progressions meet in a common positive integer, in either consistent
     orientation.  The factor edge sets themselves are not consulted; the
@@ -87,7 +83,7 @@ def generalized_product_graph(a: SimpleGraph, wa: WeightTable,
     """
     _check_weights(a, wa, "left")
     _check_weights(b, wb, "right")
-    labels = _product_labels(a, b, cap)
+    labels = _product_labels(a, b)
     na, nb = a.vertex_count, b.vertex_count
     edges = []
     for g1 in range(na):

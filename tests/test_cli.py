@@ -1,10 +1,11 @@
 """End-to-end command-line checks through main()."""
 
 import sys
+import tracemalloc
 
 import pytest
 
-from powergraphs import cyclic, direct_product, export, power_graph, relabel
+from powergraphs import SimpleGraph, cyclic, direct_product, export, power_graph
 from powergraphs.cli import entry_point, main
 
 
@@ -113,7 +114,8 @@ def test_iso_star_vs_complete(tmp_path, capsys):
 
 def test_iso_relabeled_self(tmp_path, capsys):
     g = power_graph(cyclic(6))
-    h = relabel(g, [2, 4, 0, 5, 1, 3])
+    moved = [2, 4, 0, 5, 1, 3]
+    h = SimpleGraph(g.labels, [(moved[u], moved[v]) for u, v in g.edges()])
     write_graph(tmp_path / "a.json", g)
     write_graph(tmp_path / "b.json", h)
     code, out, _ = run(capsys, "iso", str(tmp_path / "a.json"), str(tmp_path / "b.json"))
@@ -176,6 +178,29 @@ def test_stats_nonabelian(capsys):
     assert code == 0
     assert "abelian: no" in out
     assert "has universal vertex: yes" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["build", "C10001"], "error: cyclic group order 10001 exceeds cap 10000 (position 0)"),
+    (["build", "C2xD5001"], "error: dihedral group order 10002 exceeds cap 10000 (position 3)"),
+    (["product", "direct", "C101", "C100"], "error: product on 10100 vertices exceeds cap 10000"),
+    (["stats", "cayley:{tmp}/huge.tbl"], "error: {tmp}/huge.tbl:1: order 10001 exceeds cap 10000 (position 0)"),
+    (["iso", "{tmp}/big.json", "{tmp}/big.json"], "error: isomorphism cap is 200 vertices"),
+])
+def test_caps_reject_before_building(tmp_path, capsys, argv, message):
+    (tmp_path / "huge.tbl").write_text("10001\n")
+    write_graph(tmp_path / "big.json", SimpleGraph([str(v) for v in range(201)]))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err == message.format(tmp=tmp_path) + "\n"
+    # An over-cap table would take gigabytes; P(C101) and P(C100) together peak near 3 MB.
+    assert peak < 8 * 2**20, peak
 
 
 def test_build_dump_weights(capsys):

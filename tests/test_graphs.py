@@ -17,12 +17,22 @@ from powergraphs import (
     has_universal_vertex,
     parse_group_spec,
     power_graph,
-    relabel,
 )
 
 
 def labels(n):
     return [str(v) for v in range(n)]
+
+
+def relabel(g, perm):
+    """Image of g under the vertex permutation v -> perm[v]."""
+    n = g.vertex_count
+    if sorted(perm) != list(range(n)):
+        raise ValueError("perm is not a permutation of the vertex indices")
+    new_labels = [""] * n
+    for v in range(n):
+        new_labels[perm[v]] = g.labels[v]
+    return SimpleGraph(new_labels, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def complete(n):
@@ -303,10 +313,14 @@ def test_universal_vertex():
     assert not has_universal_vertex(SimpleGraph([]))
 
 
-def test_iso_cap():
-    big = SimpleGraph(labels(10))
-    with pytest.raises(TooLarge):
-        are_isomorphic(big, big, cap=5)
+def test_iso_cap(monkeypatch):
+    over = SimpleGraph(labels(201))
+    with pytest.raises(TooLarge, match="isomorphism cap is 200 vertices"):
+        are_isomorphic(over, complete(3))
+    monkeypatch.setattr("powergraphs.graphs.DEFAULT_ISO_CAP", 5)
+    assert are_isomorphic(complete(5), complete(5))[0]
+    with pytest.raises(TooLarge, match="isomorphism cap is 5 vertices"):
+        are_isomorphic(complete(5), SimpleGraph(labels(6)))
 
 
 def test_export_json_empty():

@@ -66,7 +66,7 @@ def test_z2_from_table():
     g = group_from_cayley_table([[0, 1], [1, 0]])
     assert g.order == 2
     assert g.identity == 0
-    assert g.element_order(1) == 2
+    assert g.element_orders[1] == 2
 
 
 def test_row_repeat_is_not_latin():
@@ -356,11 +356,12 @@ def test_cyclic_rejects_zero():
 
 
 def test_builders_enforce_order_cap(monkeypatch):
+    # The cap is read when a builder is called, so patching it takes effect.
     monkeypatch.setattr("powergraphs.groups.DEFAULT_ORDER_CAP", 10)
     assert cyclic(10).order == dihedral(5).order == 10
-    with pytest.raises(OrderOverflow):
+    with pytest.raises(OrderOverflow, match="cyclic group order 11 exceeds cap 10"):
         cyclic(11)
-    with pytest.raises(OrderOverflow):
+    with pytest.raises(OrderOverflow, match="dihedral group order 12 exceeds cap 10"):
         dihedral(6)
 
 
@@ -369,8 +370,7 @@ def test_dihedral_structure():
     assert g.order == 6
     assert not g.is_abelian()
     # rotations carry the cyclic orders, reflections are involutions
-    assert [g.element_order(i) for i in range(3)] == [1, 3, 3]
-    assert all(g.element_order(3 + i) == 2 for i in range(3))
+    assert g.element_orders == [1, 3, 3, 2, 2, 2]
     assert g.element_names[0] == "r0" and g.element_names[3] == "s0"
 
 
@@ -410,9 +410,9 @@ def test_quaternion():
 
 def test_element_order_examples():
     z6 = cyclic(6)
-    assert z6.element_order(z6.identity) == 1
-    assert z6.element_order(2) == 3
-    assert z6.element_order(5) == 6
+    assert z6.element_orders[z6.identity] == 1
+    assert z6.element_orders[2] == 3
+    assert z6.element_orders[5] == 6
 
 
 def powers(g, a, count):
@@ -429,15 +429,15 @@ def test_smallest_exponent_examples():
     assert power_weights(cyclic(6))[2][3].start == 0  # 3 is no power of 2
     for g in (cyclic(4), cyclic(6), quaternion8()):
         w = power_weights(g)
-        for a in g.elements():
+        for a in range(g.order):
             assert w[a][a].start == 1
 
 
 def test_lagrange_and_order_cycle():
     for g in small_family():
-        assert g.element_order(g.identity) == 1
-        for a in g.elements():
-            o = g.element_order(a)
+        assert g.element_orders[g.identity] == 1
+        for a in range(g.order):
+            o = g.element_orders[a]
             assert g.order % o == 0
             cycle = powers(g, a, o)
             assert cycle[-1] == g.identity
@@ -448,10 +448,10 @@ def test_exponent_sets_are_progressions():
     # {m in [1, 3o] : a^m = b} is {t, t+o, t+2o} when t exists, else empty
     for g in small_family():
         w = power_weights(g)
-        for a in g.elements():
-            o = g.element_order(a)
+        for a in range(g.order):
+            o = g.element_orders[a]
             window = powers(g, a, 3 * o)
-            for b in g.elements():
+            for b in range(g.order):
                 t = w[a][b].start
                 expected = set() if t == 0 else {t, t + o, t + 2 * o}
                 assert {m for m, x in enumerate(window, start=1) if x == b} == expected
@@ -471,7 +471,7 @@ def test_direct_product_basics():
     assert v4.order == 4
     assert v4.name == "C2xC2"
     one_one = 1 * 2 + 1
-    assert v4.element_order(one_one) == 2
+    assert v4.element_orders[one_one] == 2
     assert v4.element_names[one_one] == "(1,1)"
 
 
@@ -485,9 +485,11 @@ def test_direct_product_is_componentwise():
                     assert divmod(x, 4) == ((i1 + j1) % 3, (i2 + j2) % 4)
 
 
-def test_direct_product_overflow():
-    with pytest.raises(OrderOverflow):
-        direct_product(cyclic(12), cyclic(12), cap=100)
+def test_direct_product_overflow(monkeypatch):
+    monkeypatch.setattr("powergraphs.groups.DEFAULT_ORDER_CAP", 100)
+    assert direct_product(cyclic(10), cyclic(10)).order == 100
+    with pytest.raises(OrderOverflow, match="product order 144 exceeds cap 100"):
+        direct_product(cyclic(12), cyclic(12))
 
 
 def test_load_cayley_table(tmp_path):

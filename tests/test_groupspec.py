@@ -63,24 +63,26 @@ def test_error_message_names_position():
         parse_group_spec("D")
 
 
-def test_product_cap():
-    with pytest.raises(OrderOverflow):
-        parse_group_spec("C6xC6", cap=30)
+def test_product_cap(monkeypatch):
+    monkeypatch.setattr("powergraphs.groups.DEFAULT_ORDER_CAP", 30)
+    assert parse_group_spec("C5xC6").order == 30
+    with pytest.raises(OrderOverflow, match=r"^product order 36 exceeds cap 30$"):
+        parse_group_spec("C6xC6")
 
 
 def test_atom_cap(tmp_path, monkeypatch):
-    path = tmp_path / "z3.tbl"
-    path.write_text("3\n0 1 2\n1 2 0\n2 0 1\n")
-    assert parse_group_spec("C10", cap=10).order == 10
-    for spec, cap in (("S4", 10), ("Q8", 4), (f"cayley:{path}", 2)):
-        with pytest.raises(OrderOverflow):
-            parse_group_spec(spec, cap=cap)
-
-    # C<n> and D<n> are rejected before their tables are built
-    def unreachable(n):
-        raise AssertionError(f"built a group for n={n}")
-    monkeypatch.setattr("powergraphs.groupspec.cyclic", unreachable)
-    monkeypatch.setattr("powergraphs.groupspec.dihedral", unreachable)
-    for spec in ("C20", "D15"):
-        with pytest.raises(OrderOverflow):
-            parse_group_spec(spec, cap=10)
+    z3 = tmp_path / "z3.tbl"
+    z3.write_text("3\n0 1 2\n1 2 0\n2 0 1\n")
+    z5 = tmp_path / "z5.tbl"
+    z5.write_text("5\n")
+    monkeypatch.setattr("powergraphs.groups.DEFAULT_ORDER_CAP", 4)
+    assert parse_group_spec("C2xD1").order == 4
+    assert parse_group_spec(f"C1xcayley:{z3}").order == 3
+    # The builder's own error gains the position of the atom that overflowed.
+    cases = (("C5", "cyclic group order 5 exceeds cap 4 (position 0)"),
+             ("C2xD3", "dihedral group order 6 exceeds cap 4 (position 3)"),
+             (f"C1xcayley:{z5}", f"{z5}:1: order 5 exceeds cap 4 (position 3)"))
+    for spec, message in cases:
+        with pytest.raises(OrderOverflow) as info:
+            parse_group_spec(spec)
+        assert str(info.value) == message

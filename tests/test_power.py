@@ -47,8 +47,8 @@ def test_z6_adjacency():
 def test_weights_diagonal():
     for g in (cyclic(5), dihedral(4), quaternion8()):
         w = power_weights(g)
-        for a in g.elements():
-            assert w[a][a] == APPair(1, g.element_order(a))
+        for a in range(g.order):
+            assert w[a][a] == APPair(1, g.element_orders[a])
 
 
 def test_weight_examples():
@@ -62,7 +62,7 @@ def test_identity_row_is_sentinel():
     g = symmetric(3)
     w = power_weights(g)
     e = g.identity
-    for b in g.elements():
+    for b in range(g.order):
         assert w[e][b] == (APPair(1, 1) if b == e else SENTINEL)
 
 
@@ -70,8 +70,8 @@ def test_bundle_adjacency_matches_weights():
     for g in (cyclic(8), dihedral(5), symmetric(3)):
         bundle = power_graph_bundle(g)
         w = bundle.weights
-        for a in g.elements():
-            for b in g.elements():
+        for a in range(g.order):
+            for b in range(g.order):
                 if a == b:
                     continue
                 expected = w[a][b] != SENTINEL or w[b][a] != SENTINEL
@@ -81,7 +81,7 @@ def test_bundle_adjacency_matches_weights():
 def powers(g, a):
     """[a^1, ..., a^o(a)] by repeated multiplication in the table."""
     out = [a]
-    for _ in range(g.element_order(a) - 1):
+    for _ in range(g.element_orders[a] - 1):
         out.append(g.table[out[-1]][a])
     return out
 
@@ -89,7 +89,7 @@ def powers(g, a):
 def naive_power_graph(g):
     """Adjacency straight from the definition: scan all exponents both ways."""
     edges = []
-    for a in g.elements():
+    for a in range(g.order):
         for b in range(a + 1, g.order):
             related = b in powers(g, a) or a in powers(g, b)
             if related:
@@ -109,8 +109,8 @@ def cyclic_subgroup(g, a):
 def test_adjacency_is_subgroup_containment():
     for g in family_groups(16):
         graph = power_graph(g)
-        subgroups = {a: cyclic_subgroup(g, a) for a in g.elements()}
-        for a in g.elements():
+        subgroups = {a: cyclic_subgroup(g, a) for a in range(g.order)}
+        for a in range(g.order):
             for b in range(a + 1, g.order):
                 expected = subgroups[a] <= subgroups[b] or subgroups[b] <= subgroups[a]
                 assert graph.adjacent(a, b) == expected
@@ -160,13 +160,17 @@ def test_window_bound_validation():
         exponent_set_window(z6, 2, 4, 0)
     with pytest.raises(ValueError):
         exponent_set_window(z6, 2, 4, 31)  # cap is 10 * o(2) = 30
+    with pytest.raises(IndexError, match="element 6 out of range for group of order 6"):
+        exponent_set_window(z6, 6, 0, 1)
+    with pytest.raises(IndexError, match="element -1 out of range for group of order 6"):
+        exponent_set_window(z6, 0, -1, 1)
 
 
 def test_window_matches_progression_membership():
     for g in family_groups(16):
         w = power_weights(g)
-        for a in g.elements():
-            bound = 3 * g.element_order(a)
-            for b in g.elements():
+        for a in range(g.order):
+            bound = 3 * g.element_orders[a]
+            for b in range(g.order):
                 brute = exponent_set_window(g, a, b, bound)
                 assert brute == {m for m in range(1, bound + 1) if ap_contains(w[a][b], m)}

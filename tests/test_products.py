@@ -176,13 +176,15 @@ def test_products_commute_up_to_isomorphism():
             assert iso
 
 
-def test_size_cap():
+def test_size_cap(monkeypatch):
+    monkeypatch.setattr("powergraphs.products.DEFAULT_SIZE_CAP", 100)
     big = SimpleGraph([str(v) for v in range(40)])
     blank = [[SENTINEL] * 40 for _ in range(40)]
+    for build in (direct_product_graph, cartesian_product_graph, normal_product_graph):
+        with pytest.raises(SizeCap, match="product on 1600 vertices exceeds cap 100"):
+            build(big, big)
     with pytest.raises(SizeCap):
-        direct_product_graph(big, big, cap=100)
-    with pytest.raises(SizeCap):
-        generalized_product_graph(big, blank, big, blank, cap=100)
+        generalized_product_graph(big, blank, big, blank)
 
 
 def test_weight_table_shape_checked():

@@ -2,8 +2,9 @@
 
 import random
 
+import powergraphs.power
 import powergraphs.verify
-from powergraphs import SimpleGraph, cyclic, direct_product, power_graph
+from powergraphs import SimpleGraph, cyclic, direct_product, power_graph, power_graph_bundle
 from powergraphs.verify import (
     FAMILY_SPECS,
     InstanceResult,
@@ -28,7 +29,7 @@ def test_family_respects_max_order():
 
 
 def test_product_pair_check_passes():
-    result = check_power_product_pair(cyclic(2), cyclic(3),
+    result = check_power_product_pair(power_graph_bundle(cyclic(2)), power_graph_bundle(cyclic(3)),
                                       power_graph(direct_product(cyclic(2), cyclic(3))))
     assert result.passed
     assert result.subject == "C2 x C3"
@@ -36,7 +37,8 @@ def test_product_pair_check_passes():
 
 
 def test_cartesian_obstruction_passes():
-    result = check_cartesian_obstruction(cyclic(2), cyclic(2),
+    bundle = power_graph_bundle(cyclic(2))
+    result = check_cartesian_obstruction(bundle, bundle,
                                          power_graph(direct_product(cyclic(2), cyclic(2))))
     assert result.passed
     assert "universal vertex" in result.detail
@@ -82,9 +84,9 @@ def test_verify_all_default_family():
 def test_verify_all_builds_each_product_group_once(monkeypatch):
     calls = []
 
-    def counted(g1, g2, **kwargs):
+    def counted(g1, g2):
         calls.append((g1.name, g2.name))
-        return direct_product(g1, g2, **kwargs)
+        return direct_product(g1, g2)
 
     monkeypatch.setattr(powergraphs.verify, "direct_product", counted)
     reports = verify_all(max_order=36, seed=0)
@@ -92,6 +94,23 @@ def test_verify_all_builds_each_product_group_once(monkeypatch):
     subjects = [inst.subject for inst in by_claim["power-product-identity"].instances]
     assert [f"{a} x {b}" for a, b in calls] == subjects
     assert len(calls) == 169
+    assert all(r.passed for r in reports)
+
+
+def test_verify_all_builds_each_factor_bundle_once(monkeypatch):
+    built = []
+
+    def counted(g):
+        built.append(g.name)
+        return power_graph_bundle(g)
+
+    # power_graph reaches the bundle through powergraphs.power.
+    monkeypatch.setattr(powergraphs.verify, "power_graph_bundle", counted)
+    monkeypatch.setattr(powergraphs.power, "power_graph_bundle", counted)
+    reports = verify_all(max_order=36, seed=0)
+    by_claim = {r.claim: r for r in reports}
+    products = [inst.subject.replace(" x ", "x") for inst in by_claim["power-product-identity"].instances]
+    assert built == [g.name for g in family_groups(36)] + products
     assert all(r.passed for r in reports)
 
 
