@@ -17,10 +17,12 @@ from .power import PowerGraphBundle, power_graph, power_graph_bundle
 from .products import (
     PRODUCT_KINDS,
     cartesian_product_graph,
+    check_product_size,
     direct_product_graph,
     generalized_product_graph,
     normal_product_graph,
 )
+from .progressions import SENTINEL
 from .verify import (
     DEFAULT_MAX_ORDER,
     DEFAULT_SEED,
@@ -102,9 +104,9 @@ def _add_dump_weights(parser: argparse.ArgumentParser) -> None:
 
 def _format_weights(bundle: PowerGraphBundle) -> str:
     lines = []
-    for u in range(bundle.group.order):
+    for u, row in enumerate(bundle.weights):
         for v in range(bundle.group.order):
-            start, step = bundle.weights[u][v]
+            start, step = row.get(v, SENTINEL)
             lines.append(f"{u} {v} : ({start},{step})")
     return "\n".join(lines)
 
@@ -119,14 +121,15 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_product(args: argparse.Namespace) -> int:
-    b1 = power_graph_bundle(parse_group_spec(args.spec1))
-    b2 = power_graph_bundle(parse_group_spec(args.spec2))
+    g1, g2 = parse_group_spec(args.spec1), parse_group_spec(args.spec2)
     if args.dump_weights:
-        print(f"# weights of P({b1.group.name})")
-        print(_format_weights(b1))
-        print(f"# weights of P({b2.group.name})")
-        print(_format_weights(b2))
+        for g in (g1, g2):
+            print(f"# weights of P({g.name})")
+            print(_format_weights(power_graph_bundle(g)))
         return 0
+    # Refuse an over-cap product before either factor's weights are built.
+    check_product_size(g1.order, g2.order)
+    b1, b2 = power_graph_bundle(g1), power_graph_bundle(g2)
     if args.kind == "generalized":
         result = generalized_product_graph(b1.graph, b1.weights, b2.graph, b2.weights)
     else:

@@ -1,20 +1,22 @@
 """Power graphs: adjacency through the power relation, with exponent weights.
 
-The weight table W maps every ordered element pair (a, b) to an APPair:
-(t, o(a)) when t is the least positive exponent with a^t = b, and the
-sentinel (0, 0) when b is not a power of a.  The set of all exponents m
-with a^m = b is then exactly AP(W(a, b)), and the undirected power graph
-is derived from W: distinct a, b are adjacent iff either direction is
-non-sentinel.
+The weight table W holds one row per element: row a maps each power
+b = a^t, t = 1..o(a), to the APPair (t, o(a)), t the least positive
+exponent with a^t = b.  An absent key means the sentinel (0, 0): b is not
+a power of a (the weight dump still prints (0,0) for it).  The set of all
+exponents m with a^m = b is then exactly AP(W(a, b)), and the undirected
+power graph is derived from W: distinct a, b are adjacent iff either
+direction is present.
 """
 
 from dataclasses import dataclass
 
 from .graphs import SimpleGraph
 from .groups import FiniteGroup
-from .progressions import APPair, SENTINEL
+from .progressions import APPair
 
-WeightTable = list[list[APPair]]
+# Row a maps each target b to its non-sentinel cell; absent keys are (0,0).
+WeightTable = list[dict[int, APPair]]
 
 
 @dataclass(frozen=True)
@@ -27,26 +29,26 @@ class PowerGraphBundle:
 
 
 def power_weights(g: FiniteGroup) -> WeightTable:
-    """Dense weight table over all ordered element pairs of g."""
-    n = g.order
-    weights = [[SENTINEL] * n for _ in range(n)]
-    for a in range(n):
-        o_a = g.element_orders[a]
+    """Sparse weight rows of g: row a holds its o(a) powers a^1..a^o(a)."""
+    weights = []
+    for a, o_a in enumerate(g.element_orders):
+        row = {}
         x = a
         # a^1..a^o(a) are pairwise distinct, so each power is set once.
         for t in range(1, o_a + 1):
-            weights[a][x] = APPair(t, o_a)
+            row[x] = APPair(t, o_a)
             x = g.table[x][a]
+        weights.append(row)
     return weights
 
 
 def power_graph_bundle(g: FiniteGroup) -> PowerGraphBundle:
     weights = power_weights(g)
-    # Row a is non-sentinel exactly at a^1..a^o(a), and of these only a^1
-    # is a itself, so the cells with start > 1 are the arcs a -> b, b != a.
-    # An arc whose reverse is also an arc is passed once, from its lower end.
-    edges = [(a, b) for a, row in enumerate(weights) for b, w in enumerate(row)
-             if w.start > 1 and (a < b or weights[b][a] is SENTINEL)]
+    # Row a holds a^1..a^o(a), and of these only a^1 is a itself, so its
+    # other keys are the arcs a -> b, b != a.  An arc whose reverse is also
+    # an arc is passed once, from its lower end.
+    edges = [(a, b) for a, row in enumerate(weights) for b in row
+             if b != a and (a < b or a not in weights[b])]
     graph = SimpleGraph(g.element_names, edges)
     return PowerGraphBundle(group=g, graph=graph, weights=weights)
 

@@ -32,10 +32,14 @@ class SizeCap(ValueError):
     pass
 
 
+def check_product_size(na: int, nb: int) -> None:
+    """Refuse a product of factors with na and nb vertices above the size cap."""
+    if na * nb > DEFAULT_SIZE_CAP:
+        raise SizeCap(f"product on {na * nb} vertices exceeds cap {DEFAULT_SIZE_CAP}")
+
+
 def _product_labels(a: SimpleGraph, b: SimpleGraph) -> list[str]:
-    n = a.vertex_count * b.vertex_count
-    if n > DEFAULT_SIZE_CAP:
-        raise SizeCap(f"product on {n} vertices exceeds cap {DEFAULT_SIZE_CAP}")
+    check_product_size(a.vertex_count, b.vertex_count)
     return [f"({la},{lb})" for la in a.labels for lb in b.labels]
 
 
@@ -84,20 +88,26 @@ def generalized_product_graph(a: SimpleGraph, wa: WeightTable,
     _check_weights(a, wa, "left")
     _check_weights(b, wb, "right")
     labels = _product_labels(a, b)
-    na, nb = a.vertex_count, b.vertex_count
+    nb = b.vertex_count
+    # Only stored cells can meet a positive integer, so walk the arcs
+    # x = (g1, g2) -> y = (h1, h2) whose two forward cells are stored.  When
+    # both reverse cells are stored too, y -> x is walked as well and the
+    # pair is decided once, at x < y; otherwise only x -> y can meet.
+    # arcs_b[g2]: (h2, forward cell, reverse cell or None) per arc g2 -> h2.
+    arcs_b = [[(h2, cell, wb[h2].get(g2)) for h2, cell in row.items()] for g2, row in enumerate(wb)]
     edges = []
-    for g1 in range(na):
-        for g2 in range(nb):
-            # y walks the indices of the pairs (h1, h2) after x in encoding order.
-            x = y = g1 * nb + g2
-            row2 = wb[g2]
-            for h1 in range(g1, na):
-                forward, back = wa[g1][h1], wa[h1][g1]
-                for h2 in range(g2 + 1 if h1 == g1 else 0, nb):
-                    y += 1
-                    if aps_intersect_positively(forward, row2[h2]) or \
-                       aps_intersect_positively(back, wb[h2][g2]):
-                        edges.append((x, y))
+    for g1, row1 in enumerate(wa):
+        for h1, fwd1 in row1.items():
+            back1 = wa[h1].get(g1)
+            for g2, arcs in enumerate(arcs_b):
+                x, y0 = g1 * nb + g2, h1 * nb  # y = (h1, h2) encodes as y0 + h2
+                for h2, fwd2, back2 in arcs:
+                    if back1 is None or back2 is None:
+                        if aps_intersect_positively(fwd1, fwd2):
+                            edges.append((x, y0 + h2))
+                    elif x < y0 + h2 and (aps_intersect_positively(fwd1, fwd2)
+                                          or aps_intersect_positively(back1, back2)):
+                        edges.append((x, y0 + h2))
     return SimpleGraph(labels, edges)
 
 
@@ -113,19 +123,20 @@ def classical_weights(kind: str, g: SimpleGraph) -> WeightTable:
     The direct kind on both factors yields the direct product; the
     cartesian-left/-right pair yields the cartesian product (the disjoint
     singletons {1} and {2} kill the both-coordinates-adjacent case); the
-    normal kind on both factors yields the normal product.  Non-adjacent
-    distinct pairs always carry the sentinel.
+    normal kind on both factors yields the normal product.  Rows store the
+    neighbours and a non-sentinel diagonal; every other cell is absent,
+    which means the sentinel.
     """
     if kind not in _WEIGHT_CASES:
         raise ValueError(f"unknown weight kind {kind!r}; expected one of {', '.join(_WEIGHT_CASES)}")
     arc, diagonal = _WEIGHT_CASES[kind]
-    n = g.vertex_count
-    return [[arc if g.adjacent(u, v) else diagonal if u == v else SENTINEL
-             for v in range(n)]
-            for u in range(n)]
+    weights = [{} if diagonal == SENTINEL else {u: diagonal} for u in range(g.vertex_count)]
+    for u, v in g.edges():
+        weights[u][v] = weights[v][u] = arc
+    return weights
 
 
 def _check_weights(g: SimpleGraph, w: WeightTable, side: str) -> None:
     n = g.vertex_count
-    if len(w) != n or any(len(row) != n for row in w):
-        raise ValueError(f"{side} weight table does not cover all ordered vertex pairs")
+    if len(w) != n or any(not 0 <= b < n for row in w for b in row):
+        raise ValueError(f"{side} weight table needs {n} rows with targets in 0..{n - 1}")

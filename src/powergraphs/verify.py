@@ -33,7 +33,7 @@ from .products import (
     generalized_product_graph,
     normal_product_graph,
 )
-from .progressions import ap_contains
+from .progressions import SENTINEL, ap_contains
 
 DEFAULT_MAX_ORDER = 36
 DEFAULT_SEED = 0
@@ -125,7 +125,7 @@ def check_exponent_windows(g: FiniteGroup) -> InstanceResult:
         bound = 3 * g.element_orders[a]
         for b in range(g.order):
             brute = exponent_set_window(g, a, b, bound)
-            via_ap = {m for m in range(1, bound + 1) if ap_contains(weights[a][b], m)}
+            via_ap = {m for m in range(1, bound + 1) if ap_contains(weights[a].get(b, SENTINEL), m)}
             if brute != via_ap:
                 return InstanceResult(
                     g.name, False,

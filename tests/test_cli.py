@@ -7,6 +7,7 @@ import pytest
 
 from powergraphs import SimpleGraph, cyclic, direct_product, export, power_graph
 from powergraphs.cli import entry_point, main
+from powergraphs.products import PRODUCT_KINDS
 
 
 def run(capsys, *argv):
@@ -199,8 +200,20 @@ def test_caps_reject_before_building(tmp_path, capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err == message.format(tmp=tmp_path) + "\n"
-    # An over-cap table would take gigabytes; P(C101) and P(C100) together peak near 3 MB.
+    # An over-cap table would take gigabytes; an over-cap product is refused
+    # before either factor's power graph is built.
     assert peak < 8 * 2**20, peak
+
+
+@pytest.mark.parametrize("kind", PRODUCT_KINDS)
+def test_product_cap_checked_before_power_graphs(monkeypatch, capsys, kind):
+    monkeypatch.setattr("powergraphs.products.DEFAULT_SIZE_CAP", 10)
+
+    def refuse(group):
+        raise AssertionError(f"P({group.name}) built for an over-cap product")
+    monkeypatch.setattr("powergraphs.cli.power_graph_bundle", refuse)
+    code, out, err = run(capsys, "product", kind, "C4", "C3")
+    assert (code, out, err) == (2, "", "error: product on 12 vertices exceeds cap 10\n")
 
 
 def test_build_dump_weights(capsys):

@@ -13,6 +13,7 @@ from powergraphs import (
     NotClosed,
     NotLatinSquare,
     OrderOverflow,
+    SENTINEL,
     cyclic,
     dihedral,
     direct_product,
@@ -425,12 +426,12 @@ def powers(g, a, count):
 
 def test_smallest_exponent_examples():
     # the least t >= 1 with a^t = b is the start of the weight W(a, b)
-    assert power_weights(cyclic(4))[1][3].start == 3
-    assert power_weights(cyclic(6))[2][3].start == 0  # 3 is no power of 2
+    assert power_weights(cyclic(4))[1].get(3, SENTINEL).start == 3
+    assert power_weights(cyclic(6))[2].get(3, SENTINEL).start == 0  # 3 is no power of 2
     for g in (cyclic(4), cyclic(6), quaternion8()):
         w = power_weights(g)
         for a in range(g.order):
-            assert w[a][a].start == 1
+            assert w[a].get(a, SENTINEL).start == 1
 
 
 def test_lagrange_and_order_cycle():
@@ -452,7 +453,7 @@ def test_exponent_sets_are_progressions():
             o = g.element_orders[a]
             window = powers(g, a, 3 * o)
             for b in range(g.order):
-                t = w[a][b].start
+                t = w[a].get(b, SENTINEL).start
                 expected = set() if t == 0 else {t, t + o, t + 2 * o}
                 assert {m for m, x in enumerate(window, start=1) if x == b} == expected
 

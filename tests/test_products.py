@@ -10,6 +10,7 @@ from powergraphs import (
     SimpleGraph,
     SizeCap,
     are_isomorphic,
+    aps_intersect_positively,
     cartesian_product_graph,
     classical_weights,
     cyclic,
@@ -21,6 +22,7 @@ from powergraphs import (
     power_graph,
     power_graph_bundle,
 )
+from powergraphs.verify import family_groups
 
 
 def k2():
@@ -99,16 +101,16 @@ def test_products_match_pairwise_rules():
 def test_weight_table_values():
     g = k2()
     w = classical_weights("direct", g)
-    assert w[0][0] == SENTINEL
-    assert w[0][1] == APPair(1, 1)
+    assert w[0].get(0, SENTINEL) == SENTINEL
+    assert w[0].get(1, SENTINEL) == APPair(1, 1)
     w = classical_weights("cartesian-left", g)
-    assert w[0][1] == APPair(1, 0)
-    assert w[0][0] == APPair(1, 1)
-    assert classical_weights("cartesian-right", g)[0][1] == APPair(2, 0)
+    assert w[0].get(1, SENTINEL) == APPair(1, 0)
+    assert w[0].get(0, SENTINEL) == APPair(1, 1)
+    assert classical_weights("cartesian-right", g)[0].get(1, SENTINEL) == APPair(2, 0)
     edgeless = SimpleGraph(["a", "b"])
     w = classical_weights("normal", edgeless)
-    assert w[0][0] == APPair(1, 1) and w[1][1] == APPair(1, 1)
-    assert w[0][1] == SENTINEL and w[1][0] == SENTINEL
+    assert w[0].get(0, SENTINEL) == APPair(1, 1) and w[1].get(1, SENTINEL) == APPair(1, 1)
+    assert w[0].get(1, SENTINEL) == SENTINEL and w[1].get(0, SENTINEL) == SENTINEL
 
 
 def test_unknown_weight_kind():
@@ -133,7 +135,7 @@ def test_weighted_product_reproduces_classics():
 
 
 def test_all_sentinel_weights_give_no_edges():
-    blank = [[SENTINEL] * 2 for _ in range(2)]
+    blank = [{}, {}]
     assert generalized_product_graph(k2(), blank, k2(), blank).edge_count == 0
 
 
@@ -142,9 +144,9 @@ def test_weights_alone_decide_adjacency():
     # and the mirrored table claiming u is the square of v
     a = SimpleGraph(["u", "v"])
     b = SimpleGraph(["x"])
-    wb = [[APPair(1, 1)]]
-    for wa in ([[APPair(1, 1), APPair(2, 2)], [SENTINEL, APPair(1, 1)]],
-               [[APPair(1, 1), SENTINEL], [APPair(2, 2), APPair(1, 1)]]):
+    wb = [{0: APPair(1, 1)}]
+    for wa in ([{0: APPair(1, 1), 1: APPair(2, 2)}, {1: APPair(1, 1)}],
+               [{0: APPair(1, 1)}, {0: APPair(2, 2), 1: APPair(1, 1)}]):
         got = generalized_product_graph(a, wa, b, wb)
         assert got.edge_count == 1 and got.adjacent(0, 1)
 
@@ -179,7 +181,7 @@ def test_products_commute_up_to_isomorphism():
 def test_size_cap(monkeypatch):
     monkeypatch.setattr("powergraphs.products.DEFAULT_SIZE_CAP", 100)
     big = SimpleGraph([str(v) for v in range(40)])
-    blank = [[SENTINEL] * 40 for _ in range(40)]
+    blank = [{} for _ in range(40)]
     for build in (direct_product_graph, cartesian_product_graph, normal_product_graph):
         with pytest.raises(SizeCap, match="product on 1600 vertices exceeds cap 100"):
             build(big, big)
@@ -188,6 +190,85 @@ def test_size_cap(monkeypatch):
 
 
 def test_weight_table_shape_checked():
+    direct = classical_weights("direct", k2())
+    # a missing row, on either side
     with pytest.raises(ValueError, match="left weight table"):
-        generalized_product_graph(k2(), [[SENTINEL]],
-                                  k2(), classical_weights("direct", k2()))
+        generalized_product_graph(k2(), [{}], k2(), direct)
+    with pytest.raises(ValueError, match="right weight table"):
+        generalized_product_graph(k2(), direct, k2(), [{1: APPair(1, 1)}])
+    # a target outside 0..n-1 would otherwise encode to another pair's vertex
+    for row in ({2: APPair(1, 1)}, {-1: APPair(1, 1)}):
+        with pytest.raises(ValueError, match="left weight table"):
+            generalized_product_graph(k2(), [row, {}], k2(), direct)
+
+
+def dense_generalized_product(a, wa, b, wb):
+    """Oracle: the weighted product as a scan over all pairs of dense tables.
+
+    The rows are expanded to n x n tables with the sentinel in every absent
+    cell, and each pair x < y tests both orientations.
+    """
+    na, nb = a.vertex_count, b.vertex_count
+    wa = [[row.get(v, SENTINEL) for v in range(na)] for row in wa]
+    wb = [[row.get(v, SENTINEL) for v in range(nb)] for row in wb]
+    edges = []
+    for g1 in range(na):
+        for g2 in range(nb):
+            # y walks the indices of the pairs (h1, h2) after x in encoding order.
+            x = y = g1 * nb + g2
+            row2 = wb[g2]
+            for h1 in range(g1, na):
+                forward, back = wa[g1][h1], wa[h1][g1]
+                for h2 in range(g2 + 1 if h1 == g1 else 0, nb):
+                    y += 1
+                    if aps_intersect_positively(forward, row2[h2]) or \
+                       aps_intersect_positively(back, wb[h2][g2]):
+                        edges.append((x, y))
+    return SimpleGraph([f"({la},{lb})" for la in a.labels for lb in b.labels], edges)
+
+
+@pytest.fixture
+def counted_hits(monkeypatch):
+    """Counts the positive intersection tests made by the products module."""
+    hits = [0]
+
+    def counted(p, q):
+        hit = aps_intersect_positively(p, q)
+        hits[0] += hit
+        return hit
+    monkeypatch.setattr("powergraphs.products.aps_intersect_positively", counted)
+    return hits
+
+
+def assert_matches_dense(a, wa, b, wb, hits):
+    hits[0] = 0
+    got = generalized_product_graph(a, wa, b, wb)
+    assert got.edges() == dense_generalized_product(a, wa, b, wb).edges()
+    assert hits[0] == got.edge_count  # each edge is decided by exactly one hit
+
+
+def random_weights(rng, n):
+    """Rows with random cells, starts and steps from 0: asymmetric, step 0,
+    start 0 and the explicit sentinel all occur."""
+    return [{b: APPair(rng.randint(0, 4), rng.randint(0, 4))
+             for b in range(n) if rng.random() < 0.5} for _ in range(n)]
+
+
+def test_sparse_product_matches_dense_scan_on_random_tables(counted_hits):
+    rng = random.Random(17)
+    for _ in range(600):
+        na, nb = rng.randint(1, 6), rng.randint(1, 6)
+        a = SimpleGraph([str(v) for v in range(na)])
+        b = SimpleGraph([str(v) for v in range(nb)])
+        assert_matches_dense(a, random_weights(rng, na), b, random_weights(rng, nb), counted_hits)
+
+
+def test_sparse_product_matches_dense_scan_on_power_weights(counted_hits):
+    bundles = [power_graph_bundle(g) for g in family_groups(36)]
+    checked = 0
+    for b1 in bundles:
+        for b2 in bundles:
+            if b1.group.order * b2.group.order <= 36:
+                assert_matches_dense(b1.graph, b1.weights, b2.graph, b2.weights, counted_hits)
+                checked += 1
+    assert checked > 100
