@@ -178,8 +178,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     order_counts: dict[int, int] = {}
     for o in group.element_orders:
         order_counts[o] = order_counts.get(o, 0) + 1
-    universal = sum(1 for v in range(graph.vertex_count)
-                    if graph.degree(v) == graph.vertex_count - 1)
+    degrees = graph.degree_sequence()
+    universal = degrees.count(graph.vertex_count - 1)
     print(f"group: {group.name}")
     print(f"order: {group.order}")
     print(f"identity: {group.element_names[group.identity]}")
@@ -187,7 +187,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print(f"exponent: {lcm(*group.element_orders)}")
     print("element orders: " + " ".join(f"{o}^{order_counts[o]}" for o in sorted(order_counts)))
     print(f"power graph edges: {graph.edge_count}")
-    degrees = graph.degree_sequence()
     print(f"power graph degrees: min {degrees[0]}, max {degrees[-1]}")
     print(f"universal vertices: {universal}")
     print(f"has universal vertex: {'yes' if universal else 'no'}")

@@ -101,9 +101,14 @@ def group_from_cayley_table(table, name: str = "G") -> FiniteGroup:
     n = len(rows)
     if n == 0:
         raise InvalidOrder("table is empty")
+    full = set(range(n))
     for i, row in enumerate(rows):
         if len(row) != n:
             raise ValueError(f"table is not square: row {i} has {len(row)} entries, expected {n}")
+        # A row of exact ints holding every index passes whole; only the
+        # others are walked, to keep bool and int subclasses apart and name the cell.
+        if set(map(type, row)) == {int} and set(row) == full:
+            continue
         for j, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                 raise NotClosed(f"entry {v!r} at row {i}, column {j} is not an index in 0..{n - 1}")
@@ -174,8 +179,9 @@ def cyclic(n: int) -> FiniteGroup:
         raise InvalidOrder(f"cyclic group order must be >= 1, got {n}")
     if n > DEFAULT_ORDER_CAP:
         raise OrderOverflow(f"cyclic group order {n} exceeds cap {DEFAULT_ORDER_CAP}")
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroup(table, name=f"C{n}")
+    # Row i is (i + j) mod n over j: a slice of the indices listed twice.
+    twice = list(range(n)) * 2
+    return FiniteGroup([twice[i:i + n] for i in range(n)], name=f"C{n}")
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -189,13 +195,13 @@ def dihedral(n: int) -> FiniteGroup:
     size = 2 * n
     if size > DEFAULT_ORDER_CAP:
         raise OrderOverflow(f"dihedral group order {size} exceeds cap {DEFAULT_ORDER_CAP}")
-    table = [[0] * size for _ in range(size)]
-    for a in range(n):
-        for b in range(n):
-            table[a][b] = (a + b) % n
-            table[a][n + b] = n + (a + b) % n
-            table[n + a][b] = n + (a - b) % n
-            table[n + a][n + b] = (a - b) % n
+    # Row r^a lists r^(a+b) and then r^(a+b)*s over b, row r^a*s lists r^(a-b)*s
+    # and then r^(a-b): slices of each half's indices listed twice, forwards for
+    # a + b and backwards, from k = n-1-a, for a - b.
+    rot, ref = list(range(n)) * 2, list(range(n, size)) * 2
+    rot_back, ref_back = rot[::-1], ref[::-1]
+    table = [rot[a:a + n] + ref[a:a + n] for a in range(n)]
+    table += [ref_back[k:k + n] + rot_back[k:k + n] for k in reversed(range(n))]
     names = [f"r{i}" for i in range(n)] + [f"s{i}" for i in range(n)]
     return FiniteGroup(table, name=f"D{n}", element_names=names)
 
@@ -293,16 +299,11 @@ def load_cayley_table(path: str | Path) -> FiniteGroup:
             try:
                 row = [int(tok) for tok in tokens]
             except ValueError:
-                bad = next(tok for tok in tokens if not _is_int(tok))
-                raise ValueError(f"{path}:{lineno}: invalid entry {bad!r}") from None
+                for tok in tokens:
+                    try:
+                        int(tok)
+                    except ValueError:
+                        raise ValueError(f"{path}:{lineno}: invalid entry {tok!r}") from None
             yield row
 
     return group_from_cayley_table(rows(), name=path.stem)
-
-
-def _is_int(token: str) -> bool:
-    try:
-        int(token)
-    except ValueError:
-        return False
-    return True

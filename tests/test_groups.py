@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from enum import IntEnum
 
 import pytest
 
@@ -88,6 +89,21 @@ def test_out_of_range_entry_is_not_closed():
 def test_non_integer_entry_is_not_closed():
     with pytest.raises(NotClosed):
         group_from_cayley_table([[0, "1"], [1, 0]])
+    # Row 0 still equals {0, 1, 2} as a set, but True and 1.0 are not indices.
+    for fake_one in (True, 1.0):
+        table = [[0, fake_one, 2], [1, 2, 0], [2, 0, 1]]
+        assert set(table[0]) == {0, 1, 2}
+        with pytest.raises(NotClosed) as info:
+            group_from_cayley_table(table)
+        assert str(info.value) == f"entry {fake_one!r} at row 0, column 1 is not an index in 0..2"
+
+
+def test_int_subclass_entries_are_indices():
+    members = list(IntEnum("Z4", [(f"e{i}", i) for i in range(4)]))
+    table = [[members[(i + j) % 4] for j in range(4)] for i in range(4)]
+    g = group_from_cayley_table(table)
+    assert g.table == cyclic(4).table
+    assert g.element_orders == [1, 4, 2, 4]
 
 
 def test_no_identity():
@@ -347,6 +363,29 @@ def test_validated_group_does_not_share_the_input_table():
     assert g.order == 2 and g.element_orders == [1, 2]
 
 
+def cyclic_by_cell(n):
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def dihedral_by_cell(n):
+    """D_n cell by cell: rotations r^i at 0..n-1, reflections r^i*s at n..2n-1."""
+    size = 2 * n
+    table = [[0] * size for _ in range(size)]
+    for a in range(n):
+        for b in range(n):
+            table[a][b] = (a + b) % n
+            table[a][n + b] = n + (a + b) % n
+            table[n + a][b] = n + (a - b) % n
+            table[n + a][n + b] = (a - b) % n
+    return table
+
+
+def test_builders_match_cell_formulas():
+    for n in range(1, 41):
+        assert cyclic(n).table == cyclic_by_cell(n), n
+        assert dihedral(n).table == dihedral_by_cell(n), n
+
+
 def test_cyclic_orders():
     assert cyclic(6).element_orders == [1, 6, 3, 2, 3, 6]
 
@@ -538,9 +577,11 @@ def test_load_rejects_entry_count(tmp_path):
 
 def test_load_rejects_non_integer_entry(tmp_path):
     path = tmp_path / "alpha.tbl"
-    path.write_text("2\n0 x\n1 0\n")
-    with pytest.raises(ValueError, match="invalid entry 'x'"):
-        load_cayley_table(path)
+    # int() takes "+1", which str.isdigit rejects, so the entry named is 'x'.
+    for text in ("2\n0 x\n1 0\n", "3\n0 +1 x\n1 2 0\n2 0 1\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r":2: invalid entry 'x'$"):
+            load_cayley_table(path)
 
 
 def test_load_validates_axioms(tmp_path):

@@ -51,6 +51,8 @@ def test_parse_errors_carry_positions():
         ("C2x", 3),
         ("C2yC3", 2),
         ("cayley:", 7),
+        # '²' is a digit to str.isdigit but not to int().
+        ("C\u00b2", 1),
     ]
     for text, position in cases:
         with pytest.raises(ParseError) as info:

@@ -62,8 +62,15 @@ def test_edge_count_identities():
         assert normal_product_graph(a, b).edge_count == 2 * ea * eb + va * eb + vb * ea
 
 
+def adjacency(g):
+    """Adjacency test on g, built from one read of g.edges()."""
+    edges = set(g.edges())
+    return lambda u, v: (min(u, v), max(u, v)) in edges
+
+
 def by_rule(a, b, rule):
     """Quadratic reference construction straight from the pair adjacency rule."""
+    adj_a, adj_b = adjacency(a), adjacency(b)
     nb = b.vertex_count
     n = a.vertex_count * nb
     edges = []
@@ -71,21 +78,22 @@ def by_rule(a, b, rule):
         u1, u2 = divmod(x, nb)
         for y in range(x + 1, n):
             v1, v2 = divmod(y, nb)
-            if rule(a, b, u1, u2, v1, v2):
+            if rule(adj_a, adj_b, u1, u2, v1, v2):
                 edges.append((x, y))
     return SimpleGraph([f"({la},{lb})" for la in a.labels for lb in b.labels], edges)
 
 
-def direct_rule(a, b, u1, u2, v1, v2):
-    return a.adjacent(u1, v1) and b.adjacent(u2, v2)
+def direct_rule(adj_a, adj_b, u1, u2, v1, v2):
+    return adj_a(u1, v1) and adj_b(u2, v2)
 
 
-def cartesian_rule(a, b, u1, u2, v1, v2):
-    return (u1 == v1 and b.adjacent(u2, v2)) or (a.adjacent(u1, v1) and u2 == v2)
+def cartesian_rule(adj_a, adj_b, u1, u2, v1, v2):
+    return (u1 == v1 and adj_b(u2, v2)) or (adj_a(u1, v1) and u2 == v2)
 
 
-def normal_rule(a, b, u1, u2, v1, v2):
-    return direct_rule(a, b, u1, u2, v1, v2) or cartesian_rule(a, b, u1, u2, v1, v2)
+def normal_rule(adj_a, adj_b, u1, u2, v1, v2):
+    return (direct_rule(adj_a, adj_b, u1, u2, v1, v2)
+            or cartesian_rule(adj_a, adj_b, u1, u2, v1, v2))
 
 
 def test_products_match_pairwise_rules():
@@ -148,7 +156,7 @@ def test_weights_alone_decide_adjacency():
     for wa in ([{0: APPair(1, 1), 1: APPair(2, 2)}, {1: APPair(1, 1)}],
                [{0: APPair(1, 1)}, {0: APPair(2, 2), 1: APPair(1, 1)}]):
         got = generalized_product_graph(a, wa, b, wb)
-        assert got.edge_count == 1 and got.adjacent(0, 1)
+        assert got.edge_count == 1 and adjacency(got)(0, 1)
 
 
 def test_weighted_product_of_power_graphs():
