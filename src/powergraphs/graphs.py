@@ -6,7 +6,7 @@ output readable.
 
 import json
 from collections import Counter
-from typing import Iterable
+from typing import Iterable, Iterator
 
 DEFAULT_ISO_CAP = 200
 
@@ -63,29 +63,29 @@ def are_isomorphic(a: SimpleGraph, b: SimpleGraph) -> tuple[bool, list[int] | No
     """Exact isomorphism test with a witness permutation.
 
     Individualization-refinement (McKay & Piperno, "Practical graph
-    isomorphism, II"): each search node refines both graphs' colors jointly
-    until stable and tries the map pairing each color class in index order.
-    If it breaks an edge, the first vertex of a's lowest non-singleton class
-    gets a new color, as does, in turn and in index order, each vertex of
-    that class in b.  The witness is deterministic.  Returns (True, perm)
-    with b adjacency at (perm[u], perm[v]) matching a at (u, v), or (False, None).
+    isomorphism, II"): each search node refines each graph's colors until
+    stable, with equal signature counts in every round, and tries the map
+    pairing each color class in index order.  If it breaks an edge, the first
+    vertex of a's lowest non-singleton class gets a new color, as does, in
+    turn and in index order, each vertex of that class in b.  The witness is
+    deterministic.  Returns (True, perm) with b adjacency at (perm[u], perm[v])
+    matching a at (u, v), or (False, None).
     """
     if a.vertex_count > DEFAULT_ISO_CAP or b.vertex_count > DEFAULT_ISO_CAP:
         raise TooLarge(f"isomorphism cap is {DEFAULT_ISO_CAP} vertices")
     if a.vertex_count != b.vertex_count or a.edge_count != b.edge_count:
         return False, None
     # The root refinement compares the degree histograms.
-    perm = _search(a, b, [0] * a.vertex_count, [0] * b.vertex_count)
+    perm = _search(a, b, list(_refine(a, [0] * a.vertex_count)), [0] * b.vertex_count)
     return perm is not None, perm
 
 
 def _search(a: SimpleGraph, b: SimpleGraph,
-            color_a: list[int], color_b: list[int]) -> list[int] | None:
-    """A witness that maps each color class of a onto the same class of b, or None."""
-    colors = _stable_colors(a, b, color_a, color_b)
-    if colors is None:
-        return None
-    color_a, color_b = colors
+            rounds: list, color_b: list[int]) -> list[int] | None:
+    """A witness mapping each class of a onto the same class of b, given a's refinement rounds."""
+    for (sigs_a, color_a), (sigs_b, color_b) in zip(rounds, _refine(b, color_b)):
+        if sigs_a != sigs_b:
+            return None
     n = a.vertex_count
     perm = [0] * n
     for v, w in zip(sorted(range(n), key=color_a.__getitem__),
@@ -98,34 +98,26 @@ def _search(a: SimpleGraph, b: SimpleGraph,
     cell = min(c for c, size in Counter(color_a).items() if size > 1)
     # Stable colors are 0..k-1 with k <= n, so n is a new color.
     v = color_a.index(cell)
+    child = list(_refine(a, color_a[:v] + [n] + color_a[v + 1:]))
     for w in range(n):
         if color_b[w] == cell:
-            perm = _search(a, b, color_a[:v] + [n] + color_a[v + 1:],
-                           color_b[:w] + [n] + color_b[w + 1:])
+            perm = _search(a, b, child, color_b[:w] + [n] + color_b[w + 1:])
             if perm is not None:
                 return perm
     return None
 
 
-def _stable_colors(a: SimpleGraph, b: SimpleGraph, color_a: list[int],
-                   color_b: list[int]) -> tuple[list[int], list[int]] | None:
-    """Jointly-renamed stable refinement of the given colors, or None on histogram mismatch."""
-    n = a.vertex_count
+def _refine(g: SimpleGraph, color: list[int]) -> Iterator[tuple[list, list[int]]]:
+    """Each round until stable: the sorted (signature, count) pairs, and the colors they rank."""
     while True:
-        sig_a = [(color_a[v], tuple(sorted(color_a[u] for u in a._adj[v]))) for v in range(n)]
-        sig_b = [(color_b[v], tuple(sorted(color_b[u] for u in b._adj[v]))) for v in range(n)]
-        new_a, new_b = _rename(sig_a, sig_b)
-        if Counter(new_a) != Counter(new_b):
-            return None
+        sigs = [(c, tuple(sorted(color[u] for u in nbrs))) for c, nbrs in zip(color, g._adj)]
+        histogram = sorted(Counter(sigs).items())
+        rank = {sig: c for c, (sig, _) in enumerate(histogram)}
+        old, color = color, [rank[sig] for sig in sigs]
+        yield histogram, color
         # Signatures embed the old color, so classes only split: stable when none did.
-        if len(set(new_a)) == len(set(color_a)):
-            return new_a, new_b
-        color_a, color_b = new_a, new_b
-
-
-def _rename(sig_a: list, sig_b: list) -> tuple[list[int], list[int]]:
-    palette = {sig: c for c, sig in enumerate(sorted(set(sig_a) | set(sig_b)))}
-    return [palette[s] for s in sig_a], [palette[s] for s in sig_b]
+        if len(rank) == len(set(old)):
+            return
 
 
 def export(g: SimpleGraph, fmt: str) -> str:

@@ -1,5 +1,6 @@
 """Finite groups as dense Cayley tables on element indices 0..n-1."""
 
+import functools
 import itertools
 from pathlib import Path
 
@@ -37,12 +38,12 @@ class OrderOverflow(ValueError):
 class FiniteGroup:
     """Finite group with elements 0..n-1 and a full multiplication table.
 
-    The identity is auto-detected from the table and element orders are
-    computed eagerly at construction.  Instances are never mutated after
-    construction and are safe to share.  The constructor trusts its input and
-    keeps the table it is given, without copying it, so callers must not
-    change that table afterwards; use group_from_cayley_table to validate
-    (and copy) an untrusted table.
+    The identity is auto-detected from the table at construction; element
+    orders are computed on first use and then cached.  Instances are
+    otherwise never mutated and are safe to share.  The constructor trusts
+    its input and keeps the table it is given, without copying it, so
+    callers must not change that table afterwards; use
+    group_from_cayley_table to validate (and copy) an untrusted table.
     """
 
     def __init__(self, table: list[list[int]], name: str = "G",
@@ -58,7 +59,6 @@ class FiniteGroup:
             raise ValueError(f"got {len(element_names)} element names for order {self.order}")
         self.element_names = list(element_names)
         self.identity = self._find_identity()
-        self.element_orders = self._compute_orders()
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
@@ -71,7 +71,8 @@ class FiniteGroup:
                 return e
         raise NoIdentity(f"no identity element in table of order {n}")
 
-    def _compute_orders(self) -> list[int]:
+    @functools.cached_property
+    def element_orders(self) -> list[int]:
         # x walks a, a*a, ...; in any Latin square with identity this
         # sequence returns to the identity, so the loop terminates even
         # before associativity has been checked.

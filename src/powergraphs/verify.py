@@ -22,6 +22,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
+from . import graphs
 from .graphs import SimpleGraph, are_isomorphic, graphs_equal_labeled, has_universal_vertex
 from .groups import FiniteGroup, direct_product
 from .groupspec import parse_group_spec
@@ -167,6 +168,10 @@ def check_classical_weights(kind: str, seed: int = DEFAULT_SEED) -> list[Instanc
 def verify_all(max_order: int = DEFAULT_MAX_ORDER,
                seed: int = DEFAULT_SEED) -> list[VerificationReport]:
     """Run every claim over the family and return one report per claim."""
+    # The cartesian-obstruction claim tests each product for isomorphism.
+    cap = graphs.DEFAULT_ISO_CAP
+    if not 1 <= max_order <= cap:
+        raise ValueError(f"max order {max_order} is outside the isomorphism cap 1..{cap}")
     family = family_groups(max_order)
     identity_report = VerificationReport("power-product-identity")
     obstruction_report = VerificationReport("cartesian-obstruction")

@@ -110,6 +110,13 @@ def test_verify_all_trivial_order(capsys):
     assert out.splitlines()[-1] == "result: PASS"
 
 
+@pytest.mark.parametrize("max_order", ["0", "-5", "201"])
+def test_verify_all_refuses_max_order_outside_the_iso_cap(capsys, max_order):
+    code, out, err = run(capsys, "verify-all", "--max-order", max_order)
+    assert (code, out) == (2, "")
+    assert err == f"error: max order {max_order} is outside the isomorphism cap 1..200\n"
+
+
 def test_iso_star_vs_complete(tmp_path, capsys):
     # P(C2xC2) is a 3-edge star; P(C4) is K4
     write_graph(tmp_path / "a.json", power_graph(direct_product(cyclic(2), cyclic(2))))

@@ -265,6 +265,40 @@ def test_iso_strongly_regular_pair():
         check_witness(g, h, witness)
 
 
+def latin_square_graph(group):
+    """Cells of the Cayley table, adjacent when they share a row, a column or a symbol."""
+    n = group.order
+    cells = [(i, j, group.table[i][j]) for i in range(n) for j in range(n)]
+    return SimpleGraph(labels(n * n), [(x, y) for x in range(n * n) for y in range(x + 1, n * n)
+                                       if any(p == q for p, q in zip(cells[x], cells[y]))])
+
+
+def cliques4(g):
+    """Brute-force count of K4 subgraphs."""
+    adj = adjacency(g)
+    count = 0
+    for u, v in g.edges():
+        common = [w for w in range(v + 1, g.vertex_count) if adj(u, w) and adj(v, w)]
+        count += sum(1 for w, x in itertools.combinations(common, 2) if adj(w, x))
+    return count
+
+
+def test_iso_latin_square_graphs_of_c6_and_s3():
+    """Both SRG(36, 15, 6, 6): refinement leaves one class, so the search does the
+    work.  Their K4 counts differ, which certifies the answer independently."""
+    c6, s3 = (latin_square_graph(parse_group_spec(spec)) for spec in ("C6", "S3"))
+    assert c6.degree_sequence() == s3.degree_sequence() == [15] * 36
+    assert (cliques4(c6), cliques4(s3)) == (279, 297)
+    assert are_isomorphic(c6, s3) == (False, None)
+    assert are_isomorphic(s3, c6) == (False, None)
+    rng = random.Random(11)
+    for g in (c6, s3):
+        h = relabel(g, shuffled(rng, 36))
+        iso, witness = are_isomorphic(g, h)
+        assert iso
+        check_witness(g, h, witness)
+
+
 def test_iso_relabelled_twin_classes_at_the_cap():
     rng = random.Random(4)
     biclique = SimpleGraph(labels(200), [(u, v) for u in range(100) for v in range(100, 200)])

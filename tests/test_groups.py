@@ -390,6 +390,13 @@ def test_cyclic_orders():
     assert cyclic(6).element_orders == [1, 6, 3, 2, 3, 6]
 
 
+def test_element_orders_are_computed_on_first_use():
+    g = cyclic(6)
+    assert "element_orders" not in vars(g)
+    assert g.element_orders is g.element_orders
+    assert vars(g)["element_orders"] == [1, 6, 3, 2, 3, 6]
+
+
 def test_cyclic_rejects_zero():
     with pytest.raises(InvalidOrder):
         cyclic(0)

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 import powergraphs.power
 import powergraphs.verify
 from powergraphs import SimpleGraph, cyclic, direct_product, power_graph, power_graph_bundle
@@ -112,6 +114,13 @@ def test_verify_all_builds_each_factor_bundle_once(monkeypatch):
     products = [inst.subject.replace(" x ", "x") for inst in by_claim["power-product-identity"].instances]
     assert built == [g.name for g in family_groups(36)] + products
     assert all(r.passed for r in reports)
+
+
+def test_verify_all_reads_the_iso_cap_at_call_time(monkeypatch):
+    monkeypatch.setattr("powergraphs.graphs.DEFAULT_ISO_CAP", 6)
+    with pytest.raises(ValueError, match=r"max order 7 is outside the isomorphism cap 1\.\.6"):
+        verify_all(max_order=7, seed=0)
+    assert all(report.passed for report in verify_all(max_order=6, seed=0))
 
 
 def test_verify_all_trivial_order():
