@@ -11,6 +11,7 @@ from functools import reduce
 
 from .groups import (
     FiniteGroup,
+    InvalidOrder,
     OrderOverflow,
     cyclic,
     dihedral,
@@ -33,14 +34,15 @@ def parse_group_spec(text: str) -> FiniteGroup:
     """Parse and build the group denoted by a spec like C6, D4xQ8, or cayley:g.tbl.
 
     An atom or partial product over the order cap is rejected by its builder
-    before its table is allocated; an atom's error names its position.
+    before its table is allocated.  An atom whose builder rejects its order
+    or size keeps the builder's error, with the atom's position appended.
     """
     factors = []
     for atom in _tokenize(text):
         try:
             factors.append(_build_atom(atom))
-        except OrderOverflow as exc:
-            raise OrderOverflow(f"{exc} (position {atom[2]})") from None
+        except (InvalidOrder, OrderOverflow) as exc:
+            raise type(exc)(f"{exc} (position {atom[2]})") from None
     return reduce(direct_product, factors)
 
 

@@ -10,6 +10,7 @@ cartesian adjacency (elsewhere called the strong product).
 """
 
 from itertools import chain
+from math import gcd
 
 from .graphs import SimpleGraph
 from .power import WeightTable
@@ -87,28 +88,63 @@ def generalized_product_graph(a: SimpleGraph, wa: WeightTable,
     """
     _check_weights(a, wa, "left")
     _check_weights(b, wb, "right")
-    labels = _product_labels(a, b)
-    nb = b.vertex_count
-    # Only stored cells can meet a positive integer, so walk the arcs
-    # x = (g1, g2) -> y = (h1, h2) whose two forward cells are stored.  When
-    # both reverse cells are stored too, y -> x is walked as well and the
-    # pair is decided once, at x < y; otherwise only x -> y can meet.
-    # arcs_b[g2]: (h2, forward cell, reverse cell or None) per arc g2 -> h2.
-    arcs_b = [[(h2, cell, wb[h2].get(g2)) for h2, cell in row.items()] for g2, row in enumerate(wb)]
-    edges = []
-    for g1, row1 in enumerate(wa):
-        for h1, fwd1 in row1.items():
-            back1 = wa[h1].get(g1)
-            for g2, arcs in enumerate(arcs_b):
-                x, y0 = g1 * nb + g2, h1 * nb  # y = (h1, h2) encodes as y0 + h2
-                for h2, fwd2, back2 in arcs:
-                    if back1 is None or back2 is None:
-                        if aps_intersect_positively(fwd1, fwd2):
-                            edges.append((x, y0 + h2))
-                    elif x < y0 + h2 and (aps_intersect_positively(fwd1, fwd2)
-                                          or aps_intersect_positively(back1, back2)):
-                        edges.append((x, y0 + h2))
-    return SimpleGraph(labels, edges)
+    return SimpleGraph(_product_labels(a, b), _generalized_arcs(wa, wb, b.vertex_count))
+
+
+def _generalized_arcs(wa: WeightTable, wb: WeightTable, nb: int):
+    """Every arc x = (g1, g2) -> y = (h1, h2), x != y, whose forward cells meet.
+
+    An edge meets in one orientation or the other, so it is the arc x -> y or
+    the arc y -> x; SimpleGraph merges a pair found from both ends.  Two
+    positive-step progressions AP(t1, s1) and AP(t2, s2) meet iff
+    t1 = t2 mod gcd(s1, s2), so for each pair of steps the starts of both rows
+    are bucketed by residue and matching buckets are joined without a test.
+    Only a pair of cells with a zero step is decided by
+    aps_intersect_positively.
+    """
+    # Targets are stored ready to add: h1 * nb on the left, h2 on the right.
+    index_a, index_b = _step_index(wa, nb), _step_index(wb, 1)
+    residues_a, residues_b = {}, {}
+    for g1, steps1 in enumerate(index_a):
+        for g2, steps2 in enumerate(index_b):
+            x = g1 * nb + g2
+            for s1, starts1 in steps1.items():
+                for s2, starts2 in steps2.items():
+                    if s1 and s2:
+                        d = gcd(s1, s2)
+                        left = _residues(residues_a, index_a, g1, s1, d)
+                        right = _residues(residues_b, index_b, g2, s2, d)
+                        meeting = [(left[r], right[r]) for r in left.keys() & right.keys()]
+                    else:
+                        meeting = [(ys1, ys2) for t1, ys1 in starts1.items() for t2, ys2 in starts2.items()
+                                   if aps_intersect_positively(APPair(t1, s1), APPair(t2, s2))]
+                    for ys1, ys2 in meeting:
+                        for y1 in ys1:
+                            for y2 in ys2:
+                                if y1 + y2 != x:
+                                    yield x, y1 + y2
+
+
+def _step_index(w: WeightTable, scale: int) -> list[dict[int, dict[int, list[int]]]]:
+    """Row g as step -> start -> [target * scale]."""
+    index = []
+    for row in w:
+        steps = {}
+        for target, (start, step) in row.items():
+            steps.setdefault(step, {}).setdefault(start, []).append(target * scale)
+        index.append(steps)
+    return index
+
+
+def _residues(memo: dict, index: list, g: int, step: int, d: int) -> dict[int, list[int]]:
+    """The targets of row g with this step, bucketed by start mod d; memoised."""
+    key = (g, step, d)
+    buckets = memo.get(key)
+    if buckets is None:
+        buckets = memo[key] = {}
+        for start, targets in index[g][step].items():
+            buckets.setdefault(start % d, []).extend(targets)
+    return buckets
 
 
 def classical_weights(kind: str, g: SimpleGraph) -> WeightTable:

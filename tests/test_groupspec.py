@@ -2,7 +2,7 @@
 
 import pytest
 
-from powergraphs import OrderOverflow, ParseError, parse_group_spec
+from powergraphs import InvalidOrder, OrderOverflow, ParseError, parse_group_spec
 
 
 def test_atoms():
@@ -58,6 +58,10 @@ def test_parse_errors_carry_positions():
         with pytest.raises(ParseError) as info:
             parse_group_spec(text)
         assert info.value.position == position, text
+    # An atom its builder rejects keeps the builder's error, which names its position.
+    for text, position in (("Q8xC0", 3), ("D0", 0), ("C2xS0", 3), ("S6", 0)):
+        with pytest.raises(InvalidOrder, match=rf"\(position {position}\)$"):
+            parse_group_spec(text)
 
 
 def test_error_message_names_position():

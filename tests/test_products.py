@@ -1,6 +1,7 @@
 """The four graph products and the weight constructions behind them."""
 
 import random
+from math import gcd
 
 import pytest
 
@@ -235,24 +236,41 @@ def dense_generalized_product(a, wa, b, wb):
     return SimpleGraph([f"({la},{lb})" for la in a.labels for lb in b.labels], edges)
 
 
+def dense_meeting_arcs(wa, wb):
+    """Oracle: the number of ordered pairs x != y whose forward cells meet,
+    over all pairs, with the sentinel in every absent cell."""
+    na, nb = len(wa), len(wb)
+    return sum(aps_intersect_positively(wa[g1].get(h1, SENTINEL), wb[g2].get(h2, SENTINEL))
+               for g1 in range(na) for h1 in range(na) for g2 in range(nb) for h2 in range(nb)
+               if (g1, g2) != (h1, h2))
+
+
 @pytest.fixture
-def counted_hits(monkeypatch):
-    """Counts the positive intersection tests made by the products module."""
-    hits = [0]
+def counted_arcs(monkeypatch):
+    """Counts the arcs the products module hands to SimpleGraph, and fails on
+    any intersection test of two positive-step cells: the residue join
+    decides those without one."""
+    arcs = [0]
 
-    def counted(p, q):
-        hit = aps_intersect_positively(p, q)
-        hits[0] += hit
-        return hit
-    monkeypatch.setattr("powergraphs.products.aps_intersect_positively", counted)
-    return hits
+    def zero_step_only(p, q):
+        assert p.step == 0 or q.step == 0, f"tested positive steps {p} and {q}"
+        return aps_intersect_positively(p, q)
+
+    def counted_graph(labels, edges):
+        edges = list(edges)
+        arcs[0] = len(edges)
+        return SimpleGraph(labels, edges)
+    monkeypatch.setattr("powergraphs.products.aps_intersect_positively", zero_step_only)
+    monkeypatch.setattr("powergraphs.products.SimpleGraph", counted_graph)
+    return arcs
 
 
-def assert_matches_dense(a, wa, b, wb, hits):
-    hits[0] = 0
+def assert_matches_dense(a, wa, b, wb, arcs):
+    arcs[0] = 0
     got = generalized_product_graph(a, wa, b, wb)
     assert got.edges() == dense_generalized_product(a, wa, b, wb).edges()
-    assert hits[0] == got.edge_count  # each edge is decided by exactly one hit
+    # Every arc enumerated is an arc that meets, handed over once.
+    assert arcs[0] == dense_meeting_arcs(wa, wb)
 
 
 def random_weights(rng, n):
@@ -262,21 +280,49 @@ def random_weights(rng, n):
              for b in range(n) if rng.random() < 0.5} for _ in range(n)]
 
 
-def test_sparse_product_matches_dense_scan_on_random_tables(counted_hits):
+def test_sparse_product_matches_dense_scan_on_random_tables(counted_arcs):
     rng = random.Random(17)
     for _ in range(600):
         na, nb = rng.randint(1, 6), rng.randint(1, 6)
         a = SimpleGraph([str(v) for v in range(na)])
         b = SimpleGraph([str(v) for v in range(nb)])
-        assert_matches_dense(a, random_weights(rng, na), b, random_weights(rng, nb), counted_hits)
+        assert_matches_dense(a, random_weights(rng, na), b, random_weights(rng, nb), counted_arcs)
 
 
-def test_sparse_product_matches_dense_scan_on_power_weights(counted_hits):
+def test_sparse_product_matches_dense_scan_on_power_weights(counted_arcs):
     bundles = [power_graph_bundle(g) for g in family_groups(36)]
     checked = 0
     for b1 in bundles:
         for b2 in bundles:
             if b1.group.order * b2.group.order <= 36:
-                assert_matches_dense(b1.graph, b1.weights, b2.graph, b2.weights, counted_hits)
+                assert_matches_dense(b1.graph, b1.weights, b2.graph, b2.weights, counted_arcs)
                 checked += 1
     assert checked > 100
+
+
+def test_residue_join_edge_cases(counted_arcs):
+    pair = SimpleGraph(["0", "1"])
+    # One arc (0,0) -> (1,1), that is 0 -> 3, per case.
+    for p, q, meets in ((APPair(0, 3), APPair(3, 3), True),  # start 0 with a positive step
+                        (APPair(0, 2), APPair(1, 2), False),
+                        (APPair(7, 4), APPair(1, 6), True)):  # start above step; gcd 2
+        wa, wb = [{1: p}, {}], [{1: q}, {}]
+        assert_matches_dense(pair, wa, pair, wb, counted_arcs)
+        assert generalized_product_graph(pair, wa, pair, wb).edges() == ([(0, 3)] if meets else [])
+    # Meeting diagonal cells would give the arc x -> x: skipped, not a self-loop.
+    diagonal = [{0: APPair(1, 1)}, {1: APPair(2, 2)}]
+    assert_matches_dense(pair, diagonal, pair, diagonal, counted_arcs)
+    assert generalized_product_graph(pair, diagonal, pair, diagonal).edge_count == 0
+    # Steps up to 12 and starts above them: residues modulo gcds above 4 occur.
+    rng = random.Random(29)
+    wide = 0
+    for _ in range(300):
+        na, nb = rng.randint(1, 5), rng.randint(1, 5)
+        wa, wb = ([{t: APPair(rng.randint(0, 24), rng.randint(0, 12)) for t in range(n)
+                    if rng.random() < 0.6} for _ in range(n)] for n in (na, nb))
+        assert_matches_dense(SimpleGraph(map(str, range(na))), wa,
+                             SimpleGraph(map(str, range(nb))), wb, counted_arcs)
+        wide += sum(p.step and q.step and gcd(p.step, q.step) > 4 and p.start != q.start
+                    and aps_intersect_positively(p, q)
+                    for row1 in wa for p in row1.values() for row2 in wb for q in row2.values())
+    assert wide > 0
