@@ -103,9 +103,12 @@ def _generalized_arcs(wa: WeightTable, wb: WeightTable, nb: int):
     aps_intersect_positively.
     """
     # Targets are stored ready to add: h1 * nb on the left, h2 on the right.
+    # The right rows' buckets are met again for every g1 and are kept; the
+    # left row's are needed only while g1 is the current row.
     index_a, index_b = _step_index(wa, nb), _step_index(wb, 1)
-    residues_a, residues_b = {}, {}
+    residues_b = {}
     for g1, steps1 in enumerate(index_a):
+        residues_a = {}
         for g2, steps2 in enumerate(index_b):
             x = g1 * nb + g2
             for s1, starts1 in steps1.items():
