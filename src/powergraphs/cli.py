@@ -13,7 +13,7 @@ from pathlib import Path
 from .graphs import EXPORT_FORMATS, are_isomorphic, export, graph_from_json
 from .groups import direct_product
 from .groupspec import parse_group_spec
-from .power import PowerGraphBundle, power_graph, power_graph_bundle
+from .power import WeightTable, power_graph, power_graph_bundle, power_weights
 from .products import (
     PRODUCT_KINDS,
     cartesian_product_graph,
@@ -102,21 +102,21 @@ def _add_dump_weights(parser: argparse.ArgumentParser) -> None:
                         help="print the exponent weight table(s) instead of the graph")
 
 
-def _format_weights(bundle: PowerGraphBundle) -> str:
+def _format_weights(weights: WeightTable) -> str:
     lines = []
-    for u, row in enumerate(bundle.weights):
-        for v in range(bundle.group.order):
+    for u, row in enumerate(weights):
+        for v in range(len(weights)):
             start, step = row.get(v, SENTINEL)
             lines.append(f"{u} {v} : ({start},{step})")
     return "\n".join(lines)
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    bundle = power_graph_bundle(parse_group_spec(args.spec))
+    group = parse_group_spec(args.spec)
     if args.dump_weights:
-        print(_format_weights(bundle))
+        print(_format_weights(power_weights(group)))
     else:
-        print(export(bundle.graph, args.format))
+        print(export(power_graph(group), args.format))
     return 0
 
 
@@ -125,18 +125,18 @@ def _cmd_product(args: argparse.Namespace) -> int:
     if args.dump_weights:
         for g in (g1, g2):
             print(f"# weights of P({g.name})")
-            print(_format_weights(power_graph_bundle(g)))
+            print(_format_weights(power_weights(g)))
         return 0
-    # Refuse an over-cap product before either factor's weights are built.
+    # Refuse an over-cap product before either factor's power graph is built.
     check_product_size(g1.order, g2.order)
-    b1, b2 = power_graph_bundle(g1), power_graph_bundle(g2)
     if args.kind == "generalized":
+        b1, b2 = power_graph_bundle(g1), power_graph_bundle(g2)
         result = generalized_product_graph(b1.graph, b1.weights, b2.graph, b2.weights)
     else:
         build = {"direct": direct_product_graph,
                  "cartesian": cartesian_product_graph,
                  "normal": normal_product_graph}[args.kind]
-        result = build(b1.graph, b2.graph)
+        result = build(power_graph(g1), power_graph(g2))
     print(export(result, args.format))
     return 0
 
@@ -173,8 +173,7 @@ def _cmd_iso(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     group = parse_group_spec(args.spec)
-    bundle = power_graph_bundle(group)
-    graph = bundle.graph
+    graph = power_graph(group)
     order_counts: dict[int, int] = {}
     for o in group.element_orders:
         order_counts[o] = order_counts.get(o, 0) + 1

@@ -73,18 +73,21 @@ class FiniteGroup:
 
     @functools.cached_property
     def element_orders(self) -> list[int]:
-        # x walks a, a*a, ...; in any Latin square with identity this
-        # sequence returns to the identity, so the loop terminates even
-        # before associativity has been checked.
-        orders = []
-        for a in range(self.order):
-            x = a
-            k = 1
-            while x != self.identity:
-                x = self.table[x][a]
-                k += 1
-            orders.append(k)
-        return orders
+        return [len(self.powers(a)) for a in range(self.order)]
+
+    def powers(self, a: int) -> list[int]:
+        """[a, a^2, ..., a^o(a)]: the powers of a, ending at the identity.
+
+        Right multiplication by a permutes the rows of any Latin square, so
+        the walk returns to the identity even before associativity is checked.
+        """
+        table, identity = self.table, self.identity
+        x = a
+        out = [x]
+        while x != identity:
+            x = table[x][a]
+            out.append(x)
+        return out
 
     def is_abelian(self) -> bool:
         t = self.table

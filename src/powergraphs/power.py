@@ -1,12 +1,14 @@
 """Power graphs: adjacency through the power relation, with exponent weights.
 
+The power graph joins distinct a, b when one is a power of the other, so
+it is read off the powers a^1..a^o(a) of each element alone.
+
 The weight table W holds one row per element: row a maps each power
 b = a^t, t = 1..o(a), to the APPair (t, o(a)), t the least positive
 exponent with a^t = b.  An absent key means the sentinel (0, 0): b is not
 a power of a (the weight dump still prints (0,0) for it).  The set of all
-exponents m with a^m = b is then exactly AP(W(a, b)), and the undirected
-power graph is derived from W: distinct a, b are adjacent iff either
-direction is present.
+exponents m with a^m = b is then exactly AP(W(a, b)).  Only the weighted
+product reads W.
 """
 
 from dataclasses import dataclass
@@ -30,32 +32,19 @@ class PowerGraphBundle:
 
 def power_weights(g: FiniteGroup) -> WeightTable:
     """Sparse weight rows of g: row a holds its o(a) powers a^1..a^o(a)."""
-    weights = []
-    for a, o_a in enumerate(g.element_orders):
-        row = {}
-        x = a
-        # a^1..a^o(a) are pairwise distinct, so each power is set once.
-        for t in range(1, o_a + 1):
-            row[x] = APPair(t, o_a)
-            x = g.table[x][a]
-        weights.append(row)
-    return weights
+    walks = (g.powers(a) for a in range(g.order))
+    # a^1..a^o(a) are pairwise distinct, so each power is set once.
+    return [{x: APPair(t, len(walk)) for t, x in enumerate(walk, 1)} for walk in walks]
 
 
 def power_graph_bundle(g: FiniteGroup) -> PowerGraphBundle:
-    weights = power_weights(g)
-    # Row a holds a^1..a^o(a), and of these only a^1 is a itself, so its
-    # other keys are the arcs a -> b, b != a.  An arc whose reverse is also
-    # an arc is passed once, from its lower end.
-    edges = [(a, b) for a, row in enumerate(weights) for b in row
-             if b != a and (a < b or a not in weights[b])]
-    graph = SimpleGraph(g.element_names, edges)
-    return PowerGraphBundle(group=g, graph=graph, weights=weights)
+    return PowerGraphBundle(g, power_graph(g), power_weights(g))
 
 
 def power_graph(g: FiniteGroup) -> SimpleGraph:
     """Undirected power graph of g: a ~ b iff one is a power of the other."""
-    return power_graph_bundle(g).graph
+    # Of a^1..a^o(a) only a^1 is a itself, so the rest are the arcs a -> b.
+    return SimpleGraph(g.element_names, ((a, x) for a in range(g.order) for x in g.powers(a)[1:]))
 
 
 def exponent_set_window(g: FiniteGroup, a: int, b: int, bound: int) -> set[int]:

@@ -104,6 +104,27 @@ def test_verify_all_stdout_is_stable(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("argv, products, pairs, seed", [
+    (["--max-order", "36"], 169, 130, 0),
+    (["--max-order", "144", "--seed", "7"], 379, 340, 7),
+])
+def test_verify_all_stdout(capsys, argv, products, pairs, seed):
+    code, out, _ = run(capsys, "verify-all", *argv)
+    assert code == 0
+    assert out == (
+        f"verification summary (max-order={argv[1]}, seed={seed})\n"
+        "\n"
+        "claim                        total  pass  fail\n"
+        f"cartesian-obstruction          {pairs}   {pairs}     0\n"
+        "classical-weights-cartesian     50    50     0\n"
+        "classical-weights-direct        50    50     0\n"
+        "classical-weights-normal        50    50     0\n"
+        "exponent-window                 20    20     0\n"
+        f"power-product-identity         {products}   {products}     0\n"
+        "\n"
+        "result: PASS\n")
+
+
 def test_verify_all_trivial_order(capsys):
     code, out, _ = run(capsys, "verify-all", "--max-order", "1")
     assert code == 0
@@ -188,6 +209,40 @@ def test_stats_c6(capsys):
         "has universal vertex: yes\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "D4"],
+    ["build", "Q8xC3", "--format", "json"],
+    ["build", "C12", "--format", "dot"],
+    ["stats", "C2xC4xD3"],
+    ["product", "direct", "D4", "C6"],
+    ["product", "cartesian", "Q8", "C3"],
+    ["product", "normal", "C4", "S3", "--format", "json"],
+])
+def test_power_graphs_are_built_without_weight_rows(monkeypatch, capsys, argv):
+    expected = run(capsys, *argv)
+    assert expected[0] == 0
+
+    def refuse(group):
+        raise AssertionError(f"weight rows of {group.name} built")
+    monkeypatch.setattr("powergraphs.power.power_weights", refuse)
+    monkeypatch.setattr("powergraphs.cli.power_weights", refuse)
+    assert run(capsys, *argv) == expected
+
+
+def test_stats_holds_no_weight_rows(capsys):
+    # D500's weight rows and power graph together peaked at 45 MB; the power
+    # graph alone peaks at about 23 MB.
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "stats", "D500")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "power graph edges: 112230\n" in out
+    assert peak < 32 * 2**20, peak
+
+
 def test_stats_nonabelian(capsys):
     code, out, _ = run(capsys, "stats", "S3")
     assert code == 0
@@ -226,6 +281,7 @@ def test_product_cap_checked_before_power_graphs(monkeypatch, capsys, kind):
     def refuse(group):
         raise AssertionError(f"P({group.name}) built for an over-cap product")
     monkeypatch.setattr("powergraphs.cli.power_graph_bundle", refuse)
+    monkeypatch.setattr("powergraphs.cli.power_graph", refuse)
     code, out, err = run(capsys, "product", kind, "C4", "C3")
     assert (code, out, err) == (2, "", "error: product on 12 vertices exceeds cap 10\n")
 

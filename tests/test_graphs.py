@@ -411,6 +411,8 @@ def test_json_parse_errors():
         graph_from_json('{"vertices": [0], "edges": []}')
     with pytest.raises(ValueError):
         graph_from_json('{"vertices": ["a", "b"], "edges": [[0]]}')
+    with pytest.raises(ValueError, match=r'^"edges" must be an array of \[i, j\] pairs$'):
+        graph_from_json('{"vertices": ["a", "b"], "edges": {}}')
     with pytest.raises(ValueError, match=r"bad edge entry \[True, False\]"):
         graph_from_json('{"vertices": ["a", "b"], "edges": [[true, false]]}')
     with pytest.raises(json.JSONDecodeError):

@@ -116,6 +116,13 @@ def test_nonassociative_loop_rejected():
         group_from_cayley_table(NONASSOCIATIVE)
 
 
+def test_powers_of_a_loop_end_at_the_identity():
+    # The walk needs only a Latin square with identity, not associativity.
+    loop = FiniteGroup(NONASSOCIATIVE)
+    assert [loop.powers(a) for a in range(5)] == [[0], [1, 0], [2, 4, 0], [3, 2, 0], [4, 3, 0]]
+    assert loop.element_orders == [1, 2, 3, 3, 3]
+
+
 def first_violation(table):
     """Slow oracle: the first (i, j, k) in index order with (i*j)*k != i*(j*k)."""
     n = len(table)
@@ -336,6 +343,8 @@ def test_validation_agrees_with_ordered_first_fault_scan():
 def test_empty_table():
     with pytest.raises(InvalidOrder):
         group_from_cayley_table([])
+    with pytest.raises(InvalidOrder, match="^a group has at least one element$"):
+        FiniteGroup([])
 
 
 def test_ragged_table():
@@ -556,9 +565,14 @@ def test_load_cayley_table(tmp_path):
 
 def test_load_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.tbl"
-    path.write_text("two\n0 1\n1 0\n")
-    with pytest.raises(ValueError, match="expected group order"):
-        load_cayley_table(path)
+    cases = (("two\n0 1\n1 0\n", ValueError, ":1: expected group order, got 'two'"),
+             ("# comments only\n\n#\n", ValueError, ": no data lines"),
+             ("# empty\n0\n", InvalidOrder, ":2: order must be >= 1, got 0"))
+    for text, error, message in cases:
+        path.write_text(text)
+        with pytest.raises(error) as info:
+            load_cayley_table(path)
+        assert str(info.value) == f"{path}{message}"
 
 
 def test_load_rejects_order_above_cap_before_rows(tmp_path):

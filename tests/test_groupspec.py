@@ -41,6 +41,10 @@ def test_cayley_path_may_contain_x(tmp_path):
     path = tmp_path / "axb.tbl"
     path.write_text("1\n0\n")
     assert parse_group_spec(f"cayley:{path}").order == 1
+    # nor does an 'x' at the very end of the spec
+    path = tmp_path / "z2x"
+    path.write_text("2\n0 1\n1 0\n")
+    assert parse_group_spec(f"cayley:{path}").order == 2
 
 
 def test_parse_errors_carry_positions():

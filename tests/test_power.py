@@ -86,9 +86,9 @@ def test_bundle_adjacency_matches_weights():
 
 
 def powers(g, a):
-    """[a^1, ..., a^o(a)] by repeated multiplication in the table."""
+    """[a^1, ..., a^o(a)] by repeated multiplication in the table, up to the identity."""
     out = [a]
-    for _ in range(g.element_orders[a] - 1):
+    while out[-1] != g.identity:
         out.append(g.table[out[-1]][a])
     return out
 
@@ -149,6 +149,27 @@ def test_trivial_factor_changes_nothing():
     g = symmetric(3)
     left = power_graph(direct_product(cyclic(1), g))
     assert graphs_equal_labeled(left, power_graph(g))
+
+
+def test_powers_walk_to_the_identity():
+    for g in family_groups(36):
+        for a in range(g.order):
+            walk = g.powers(a)
+            assert len(set(walk)) == len(walk) == g.element_orders[a], (g.name, a)
+            assert walk[-1] == g.identity
+            for k, b in enumerate(walk, 1):
+                assert k in exponent_set_window(g, a, b, len(walk)), (g.name, a, k)
+
+
+def test_power_graph_builds_no_weight_rows(monkeypatch):
+    family = family_groups(36)
+    expected = [power_graph(g) for g in family]
+
+    def refuse(group):
+        raise AssertionError(f"weight rows of {group.name} built")
+    monkeypatch.setattr("powergraphs.power.power_weights", refuse)
+    for g, graph in zip(family, expected):
+        assert graphs_equal_labeled(power_graph(g), graph), g.name
 
 
 def test_window_for_identity():

@@ -6,7 +6,19 @@ import pytest
 
 import powergraphs.power
 import powergraphs.verify
-from powergraphs import SimpleGraph, cyclic, direct_product, power_graph, power_graph_bundle
+from powergraphs import (
+    APPair,
+    SimpleGraph,
+    cartesian_product_graph,
+    cyclic,
+    direct_product,
+    direct_product_graph,
+    generalized_product_graph,
+    power_graph,
+    power_graph_bundle,
+    power_weights,
+)
+from powergraphs.cli import main
 from powergraphs.verify import (
     FAMILY_SPECS,
     InstanceResult,
@@ -100,19 +112,28 @@ def test_verify_all_builds_each_product_group_once(monkeypatch):
 
 
 def test_verify_all_builds_each_factor_bundle_once(monkeypatch):
-    built = []
+    built, weighed = [], []
 
-    def counted(g):
+    def counted_bundle(g):
         built.append(g.name)
         return power_graph_bundle(g)
 
-    # power_graph reaches the bundle through powergraphs.power.
-    monkeypatch.setattr(powergraphs.verify, "power_graph_bundle", counted)
-    monkeypatch.setattr(powergraphs.power, "power_graph_bundle", counted)
+    def counted_weights(g):
+        weighed.append(g.name)
+        return power_weights(g)
+
+    monkeypatch.setattr(powergraphs.verify, "power_graph_bundle", counted_bundle)
+    # A power_graph that went through a bundle would be counted too.
+    monkeypatch.setattr(powergraphs.power, "power_graph_bundle", counted_bundle)
+    # The bundles reach power_weights through powergraphs.power, the
+    # exponent windows through powergraphs.verify.
+    monkeypatch.setattr(powergraphs.power, "power_weights", counted_weights)
+    monkeypatch.setattr(powergraphs.verify, "power_weights", counted_weights)
     reports = verify_all(max_order=36, seed=0)
-    by_claim = {r.claim: r for r in reports}
-    products = [inst.subject.replace(" x ", "x") for inst in by_claim["power-product-identity"].instances]
-    assert built == [g.name for g in family_groups(36)] + products
+    family = [g.name for g in family_groups(36)]
+    assert built == family and len(built) == 20
+    # P(G1 x G2) of the 169 product groups is built from no weight rows.
+    assert weighed == family + family
     assert all(r.passed for r in reports)
 
 
@@ -154,3 +175,89 @@ def test_edge_set_difference_output():
     left = SimpleGraph(["a", "b", "c"], [(0, 1)])
     right = SimpleGraph(["a", "b", "c"], [(1, 2)])
     assert edge_set_difference(left, right) == "only in left: {a--b}; only in right: {b--c}"
+
+
+def test_cartesian_obstruction_names_each_problem():
+    # Passing the cartesian product itself as P(G1 x G2) breaks both certificates.
+    bundle = power_graph_bundle(cyclic(2))
+    cart = cartesian_product_graph(bundle.graph, bundle.graph)
+    result = check_cartesian_obstruction(bundle, bundle, cart)
+    assert not result.passed
+    assert result.detail == "graphs are isomorphic via [0, 1, 2, 3]; power graph lacks a universal vertex"
+
+
+def first_nonempty_altered(build, alter, seen):
+    """build, with its first result that has an edge passed through alter.
+
+    seen records that call's number and arguments, its graph and the altered graph.
+    """
+    calls = []
+
+    def faulty(*args):
+        graph = build(*args)
+        calls.append(args)
+        if seen or not graph.edge_count:
+            return graph
+        seen.extend((len(calls) - 1, args, graph, alter(graph)))
+        return seen[-1]
+    return faulty
+
+
+def without_first_edge(graph):
+    return SimpleGraph(graph.labels, graph.edges()[1:])
+
+
+def with_universal_first_vertex(graph):
+    return SimpleGraph(graph.labels, graph.edges() + [(0, v) for v in range(1, graph.vertex_count)])
+
+
+def run_faulty_sweep(capsys):
+    """verify-all --max-order 4 through the CLI: its exit code and FAIL lines."""
+    code = main(["verify-all", "--max-order", "4"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "result: FAIL"
+    return code, [line for line in lines if line.startswith("FAIL ")]
+
+
+def test_sweep_dumps_a_product_identity_failure(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(powergraphs.verify, "generalized_product_graph",
+                        first_nonempty_altered(generalized_product_graph, without_first_edge, seen))
+    assert run_faulty_sweep(capsys) == (1, [
+        "FAIL power-product-identity [C1 x C2]: left has 1 edges, right has 0; "
+        "only in left: {(0,0)--(0,1)}; only in right: {}"])
+
+
+def test_sweep_dumps_an_exponent_window_failure(monkeypatch, capsys):
+    def corrupted(g):
+        weights = power_weights(g)
+        if g.name == "C4":
+            weights[1][3] = APPair(1, 4)  # 1^3 = 3 in C4, so the start is 3
+        return weights
+    monkeypatch.setattr(powergraphs.verify, "power_weights", corrupted)
+    assert run_faulty_sweep(capsys) == (1, [
+        "FAIL exponent-window [C4]: pair (1, 3): iteration gives [3, 7, 11], progression gives [1, 5, 9]"])
+
+
+def test_sweep_dumps_a_cartesian_obstruction_failure(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(powergraphs.verify, "cartesian_product_graph",
+                        first_nonempty_altered(cartesian_product_graph, with_universal_first_vertex, seen))
+    assert run_faulty_sweep(capsys) == (1, [
+        "FAIL cartesian-obstruction [C2 x C2]: cartesian product has a universal vertex"])
+    assert seen[3].edge_count == seen[2].edge_count + 1 == 5
+
+
+def test_sweep_dumps_a_classical_weights_failure(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(powergraphs.verify, "direct_product_graph",
+                        first_nonempty_altered(direct_product_graph, without_first_edge, seen))
+    code, fails = run_faulty_sweep(capsys)
+    # Each trial builds one direct product, so the call number is the trial's.
+    trial, (left, right), graph, _ = seen
+    subject = (f"trial {trial:02d}: {left.vertex_count}x{right.vertex_count} vertices, "
+               f"{left.edge_count}+{right.edge_count} edges")
+    u, v = graph.edges()[0]
+    assert (code, fails) == (1, [
+        f"FAIL classical-weights-direct [{subject}]: "
+        f"only in left: {{}}; only in right: {{{graph.labels[u]}--{graph.labels[v]}}}"])
