@@ -6,6 +6,7 @@ standard output, diagnostics to standard error.
 """
 
 import argparse
+import signal
 import sys
 from math import lcm
 from pathlib import Path
@@ -13,7 +14,7 @@ from pathlib import Path
 from .graphs import EXPORT_FORMATS, are_isomorphic, export, graph_from_json
 from .groups import direct_product
 from .groupspec import parse_group_spec
-from .power import WeightTable, power_graph, power_graph_bundle, power_weights
+from .power import power_graph, power_graph_bundle, power_weights
 from .products import (
     PRODUCT_KINDS,
     cartesian_product_graph,
@@ -22,7 +23,7 @@ from .products import (
     generalized_product_graph,
     normal_product_graph,
 )
-from .progressions import SENTINEL
+from .progressions import SENTINEL, WeightTable
 from .verify import (
     DEFAULT_MAX_ORDER,
     DEFAULT_SEED,
@@ -102,19 +103,17 @@ def _add_dump_weights(parser: argparse.ArgumentParser) -> None:
                         help="print the exponent weight table(s) instead of the graph")
 
 
-def _format_weights(weights: WeightTable) -> str:
-    lines = []
+def _print_weights(weights: WeightTable) -> None:
+    """Print all n^2 cells, absent ones as (0,0), one row at a time."""
     for u, row in enumerate(weights):
-        for v in range(len(weights)):
-            start, step = row.get(v, SENTINEL)
-            lines.append(f"{u} {v} : ({start},{step})")
-    return "\n".join(lines)
+        cells = (row.get(v, SENTINEL) for v in range(len(weights)))
+        print("\n".join(f"{u} {v} : ({start},{step})" for v, (start, step) in enumerate(cells)))
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
     group = parse_group_spec(args.spec)
     if args.dump_weights:
-        print(_format_weights(power_weights(group)))
+        _print_weights(power_weights(group))
     else:
         print(export(power_graph(group), args.format))
     return 0
@@ -125,7 +124,7 @@ def _cmd_product(args: argparse.Namespace) -> int:
     if args.dump_weights:
         for g in (g1, g2):
             print(f"# weights of P({g.name})")
-            print(_format_weights(power_weights(g)))
+            _print_weights(power_weights(g))
         return 0
     # Refuse an over-cap product before either factor's power graph is built.
     check_product_size(g1.order, g2.order)
@@ -203,6 +202,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry_point() -> None:
+    # A closed stdout ends the process by SIGPIPE, quietly, as it does other filters.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())
 
 

@@ -284,7 +284,7 @@ def load_cayley_table(path: str | Path) -> FiniteGroup:
         raise ValueError(f"{path}: no data lines")
     header_line, header = lines[0]
     try:
-        n = int(header)
+        n = _decimal(header)
     except ValueError:
         raise ValueError(f"{path}:{header_line}: expected group order, got {header!r}") from None
     if n < 1:
@@ -301,13 +301,25 @@ def load_cayley_table(path: str | Path) -> FiniteGroup:
             if len(tokens) != n:
                 raise ValueError(f"{path}:{lineno}: expected {n} entries, got {len(tokens)}")
             try:
+                # On ASCII text without '_', int() takes only a sign and digits.
+                if not text.isascii() or "_" in text:
+                    raise ValueError
                 row = [int(tok) for tok in tokens]
             except ValueError:
                 for tok in tokens:
                     try:
-                        int(tok)
+                        _decimal(tok)
                     except ValueError:
                         raise ValueError(f"{path}:{lineno}: invalid entry {tok!r}") from None
             yield row
 
     return group_from_cayley_table(rows(), name=path.stem)
+
+
+def _decimal(token: str) -> int:
+    """int(token) for an optional sign and ASCII digits only; int() alone
+    also takes '_' between digits and any Unicode decimal digit."""
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)

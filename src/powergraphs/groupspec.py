@@ -69,7 +69,7 @@ def _tokenize(text: str) -> list[tuple[str, str | int | None, int]]:
             letter = text[pos]
             pos += 1
             digits_start = pos
-            while pos < len(text) and text[pos].isdecimal():
+            while pos < len(text) and text[pos] in "0123456789":
                 pos += 1
             if pos == digits_start:
                 raise ParseError(f"expected a number after '{letter}'", digits_start)

@@ -15,10 +15,7 @@ from dataclasses import dataclass
 
 from .graphs import SimpleGraph
 from .groups import FiniteGroup
-from .progressions import APPair
-
-# Row a maps each target b to its non-sentinel cell; absent keys are (0,0).
-WeightTable = list[dict[int, APPair]]
+from .progressions import APPair, WeightTable
 
 
 @dataclass(frozen=True)

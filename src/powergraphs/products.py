@@ -13,8 +13,7 @@ from itertools import chain
 from math import gcd
 
 from .graphs import SimpleGraph
-from .power import WeightTable
-from .progressions import APPair, SENTINEL, aps_intersect_positively
+from .progressions import APPair, SENTINEL, WeightTable, aps_intersect_positively
 
 DEFAULT_SIZE_CAP = 10000
 
@@ -97,29 +96,30 @@ def _generalized_arcs(wa: WeightTable, wb: WeightTable, nb: int):
     An edge meets in one orientation or the other, so it is the arc x -> y or
     the arc y -> x; SimpleGraph merges a pair found from both ends.  Two
     positive-step progressions AP(t1, s1) and AP(t2, s2) meet iff
-    t1 = t2 mod gcd(s1, s2), so for each pair of steps the starts of both rows
-    are bucketed by residue and matching buckets are joined without a test.
-    Only a pair of cells with a zero step is decided by
-    aps_intersect_positively.
+    t1 = t2 mod gcd(s1, s2), so for each pair of steps the targets of both
+    rows are bucketed by start residue and matching buckets are joined
+    without a test.  When a step is 0 both sides are bucketed by start, and
+    each pair of starts is decided by aps_intersect_positively.
     """
-    # Targets are stored ready to add: h1 * nb on the left, h2 on the right.
     # The right rows' buckets are met again for every g1 and are kept; the
     # left row's are needed only while g1 is the current row.
-    index_a, index_b = _step_index(wa, nb), _step_index(wb, 1)
-    residues_b = {}
-    for g1, steps1 in enumerate(index_a):
-        residues_a = {}
-        for g2, steps2 in enumerate(index_b):
+    memo_b = {}
+    steps_b = [{step for _, step in row.values()} for row in wb]
+    for g1, row1 in enumerate(wa):
+        memo_a = {}
+        steps1 = {step for _, step in row1.values()}
+        for g2, steps2 in enumerate(steps_b):
             x = g1 * nb + g2
-            for s1, starts1 in steps1.items():
-                for s2, starts2 in steps2.items():
-                    if s1 and s2:
-                        d = gcd(s1, s2)
-                        left = _residues(residues_a, index_a, g1, s1, d)
-                        right = _residues(residues_b, index_b, g2, s2, d)
+            for s1 in steps1:
+                for s2 in steps2:
+                    d = gcd(s1, s2) if s1 and s2 else 0
+                    # Targets come scaled ready to add: h1 * nb on the left, h2 on the right.
+                    left = _buckets(memo_a, wa, g1, s1, d, nb)
+                    right = _buckets(memo_b, wb, g2, s2, d, 1)
+                    if d:
                         meeting = [(left[r], right[r]) for r in left.keys() & right.keys()]
                     else:
-                        meeting = [(ys1, ys2) for t1, ys1 in starts1.items() for t2, ys2 in starts2.items()
+                        meeting = [(ys1, ys2) for t1, ys1 in left.items() for t2, ys2 in right.items()
                                    if aps_intersect_positively(APPair(t1, s1), APPair(t2, s2))]
                     for ys1, ys2 in meeting:
                         for y1 in ys1:
@@ -128,25 +128,16 @@ def _generalized_arcs(wa: WeightTable, wb: WeightTable, nb: int):
                                     yield x, y1 + y2
 
 
-def _step_index(w: WeightTable, scale: int) -> list[dict[int, dict[int, list[int]]]]:
-    """Row g as step -> start -> [target * scale]."""
-    index = []
-    for row in w:
-        steps = {}
-        for target, (start, step) in row.items():
-            steps.setdefault(step, {}).setdefault(start, []).append(target * scale)
-        index.append(steps)
-    return index
-
-
-def _residues(memo: dict, index: list, g: int, step: int, d: int) -> dict[int, list[int]]:
-    """The targets of row g with this step, bucketed by start mod d; memoised."""
+def _buckets(memo: dict, w: WeightTable, g: int, step: int, d: int, scale: int) -> dict[int, list[int]]:
+    """The targets of row g whose cell has this step, times scale, keyed by
+    start mod d, or by start when d is 0; memoised on (g, step, d)."""
     key = (g, step, d)
     buckets = memo.get(key)
     if buckets is None:
         buckets = memo[key] = {}
-        for start, targets in index[g][step].items():
-            buckets.setdefault(start % d, []).extend(targets)
+        for target, (start, s) in w[g].items():
+            if s == step:
+                buckets.setdefault(start % d if d else start, []).append(target * scale)
     return buckets
 
 

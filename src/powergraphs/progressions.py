@@ -20,6 +20,9 @@ class APPair(NamedTuple):
 
 SENTINEL = APPair(0, 0)
 
+# Row a maps each target b to its non-sentinel cell; absent keys are (0,0).
+WeightTable = list[dict[int, APPair]]
+
 
 def ap_contains(p: APPair, m: int) -> bool:
     """Membership of m in the progression p."""

@@ -1,11 +1,18 @@
 """End-to-end command-line checks through main()."""
 
+import contextlib
+import os
+import signal
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from powergraphs import SimpleGraph, cyclic, direct_product, export, power_graph
+import powergraphs
+from powergraphs import (SENTINEL, SimpleGraph, cyclic, dihedral, direct_product, export,
+                         power_graph, power_weights)
 from powergraphs.cli import entry_point, main
 from powergraphs.products import PRODUCT_KINDS
 
@@ -305,6 +312,27 @@ def test_build_dump_weights(capsys):
     assert out == "0 0 : (1,1)\n0 1 : (0,0)\n1 0 : (2,2)\n1 1 : (1,2)\n"
 
 
+def test_build_dump_weights_nonabelian(capsys):
+    code, out, _ = run(capsys, "build", "D6", "--dump-weights")
+    weights = power_weights(dihedral(6))
+    assert code == 0
+    assert out == "".join(f"{u} {v} : ({start},{step})\n" for u in range(12) for v in range(12)
+                          for start, step in [weights[u].get(v, SENTINEL)])
+
+
+def test_dump_weights_is_printed_one_row_at_a_time():
+    # Joined into one string, C400's 160000 dump lines peaked at 27 MB.
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            code = main(["build", "C400", "--dump-weights"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 20 * 2**20, peak
+
+
 def test_product_dump_weights(capsys):
     code, out, _ = run(capsys, "product", "generalized", "C2", "C2", "--dump-weights")
     assert code == 0
@@ -327,8 +355,28 @@ def test_unknown_subcommand_exits_2():
 
 
 def test_entry_point_raises_system_exit(monkeypatch, capsys):
+    # entry_point restores the default SIGPIPE action; keep it out of this process.
+    installed = []
+    monkeypatch.setattr(signal, "signal", lambda *args: installed.append(args))
     monkeypatch.setattr(sys, "argv", ["powergraphs", "build", "C2"])
     with pytest.raises(SystemExit) as info:
         entry_point()
     assert info.value.code == 0
     assert capsys.readouterr().out == "0,1\n"
+    if hasattr(signal, "SIGPIPE"):
+        assert installed == [(signal.SIGPIPE, signal.SIG_DFL)]
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_stdout_ends_quietly():
+    # C300's edge list is about 245 KB, well above a pipe buffer, so the
+    # child is still writing when the reader closes the pipe.
+    env = dict(os.environ, PYTHONPATH=str(Path(powergraphs.__file__).parents[1]))
+    # Leaving the block closes both pipes and waits for the child.
+    with subprocess.Popen([sys.executable, "-m", "powergraphs.cli", "build", "C300"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"0,1\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == -signal.SIGPIPE
+    assert err == b""

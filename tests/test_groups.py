@@ -567,7 +567,9 @@ def test_load_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.tbl"
     cases = (("two\n0 1\n1 0\n", ValueError, ":1: expected group order, got 'two'"),
              ("# comments only\n\n#\n", ValueError, ": no data lines"),
-             ("# empty\n0\n", InvalidOrder, ":2: order must be >= 1, got 0"))
+             ("# empty\n0\n", InvalidOrder, ":2: order must be >= 1, got 0"),
+             # int() reads '0_2' as 2.
+             ("0_2\n0 1\n1 0\n", ValueError, ":1: expected group order, got '0_2'"))
     for text, error, message in cases:
         path.write_text(text)
         with pytest.raises(error) as info:
@@ -598,11 +600,16 @@ def test_load_rejects_entry_count(tmp_path):
 
 def test_load_rejects_non_integer_entry(tmp_path):
     path = tmp_path / "alpha.tbl"
-    # int() takes "+1", which str.isdigit rejects, so the entry named is 'x'.
-    for text in ("2\n0 x\n1 0\n", "3\n0 +1 x\n1 2 0\n2 0 1\n"):
+    # '+1' is read as int() reads it, so the entry named is 'x'.  int() alone
+    # would also read '1_0' as 10 and U+0661 (ARABIC-INDIC DIGIT ONE) as 1.
+    for text, message in (("2\n0 x\n1 0\n", ":2: invalid entry 'x'"),
+                          ("3\n0 +1 x\n1 2 0\n2 0 1\n", ":2: invalid entry 'x'"),
+                          ("2\n0 1\n1_0 0\n", ":3: invalid entry '1_0'"),
+                          ("2\n0 1\n\u0661 0\n", ":3: invalid entry '\u0661'")):
         path.write_text(text)
-        with pytest.raises(ValueError, match=r":2: invalid entry 'x'$"):
+        with pytest.raises(ValueError) as info:
             load_cayley_table(path)
+        assert str(info.value) == f"{path}{message}"
 
 
 def test_load_validates_axioms(tmp_path):

@@ -302,13 +302,16 @@ def test_sparse_product_matches_dense_scan_on_power_weights(counted_arcs):
 
 def test_residue_join_edge_cases(counted_arcs):
     pair = SimpleGraph(["0", "1"])
-    # One arc (0,0) -> (1,1), that is 0 -> 3, per case.
+    # One arc (0,0) -> (1,1), that is 0 -> 3, per case, in both orientations.
     for p, q, meets in ((APPair(0, 3), APPair(3, 3), True),  # start 0 with a positive step
                         (APPair(0, 2), APPair(1, 2), False),
-                        (APPair(7, 4), APPair(1, 6), True)):  # start above step; gcd 2
-        wa, wb = [{1: p}, {}], [{1: q}, {}]
-        assert_matches_dense(pair, wa, pair, wb, counted_arcs)
-        assert generalized_product_graph(pair, wa, pair, wb).edges() == ([(0, 3)] if meets else [])
+                        (APPair(7, 4), APPair(1, 6), True),  # start above step; gcd 2
+                        (APPair(7, 4), APPair(3, 0), False),  # 3 = 7 mod 4, but 3 < 7
+                        (APPair(7, 4), APPair(11, 0), True)):
+        for left, right in ((p, q), (q, p)):
+            wa, wb = [{1: left}, {}], [{1: right}, {}]
+            assert_matches_dense(pair, wa, pair, wb, counted_arcs)
+            assert generalized_product_graph(pair, wa, pair, wb).edges() == ([(0, 3)] if meets else [])
     # Meeting diagonal cells would give the arc x -> x: skipped, not a self-loop.
     diagonal = [{0: APPair(1, 1)}, {1: APPair(2, 2)}]
     assert_matches_dense(pair, diagonal, pair, diagonal, counted_arcs)
