@@ -306,9 +306,12 @@ def load_cayley_table(path: str | Path) -> FiniteGroup:
                     raise ValueError
                 row = [int(tok) for tok in tokens]
             except ValueError:
+                # Slow path: non-ASCII text (digits or separators such as
+                # U+00A0, which str.split accepts) or a '_'.
+                row = []
                 for tok in tokens:
                     try:
-                        _decimal(tok)
+                        row.append(_decimal(tok))
                     except ValueError:
                         raise ValueError(f"{path}:{lineno}: invalid entry {tok!r}") from None
             yield row

@@ -563,6 +563,17 @@ def test_load_cayley_table(tmp_path):
     assert g.element_orders == [1, 2, 2, 2]
 
 
+def test_load_accepts_non_ascii_separators(tmp_path):
+    # str.split() splits on U+00A0, U+2003 and U+3000; such rows take the
+    # slow path and must still yield their own entries, not the row before.
+    path = tmp_path / "klein.tbl"
+    for text in ("2\n0\u00a01\n1 0\n",
+                 "4\n0 1 2 3\n1\u00a00\u20033\u30002\n2 3 0 1\n3\u00a02 1 0\n"):
+        path.write_text(text)
+        rows = [line.split() for line in text.splitlines()[1:]]
+        assert load_cayley_table(path).table == [[int(tok) for tok in row] for row in rows]
+
+
 def test_load_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.tbl"
     cases = (("two\n0 1\n1 0\n", ValueError, ":1: expected group order, got 'two'"),
@@ -605,7 +616,8 @@ def test_load_rejects_non_integer_entry(tmp_path):
     for text, message in (("2\n0 x\n1 0\n", ":2: invalid entry 'x'"),
                           ("3\n0 +1 x\n1 2 0\n2 0 1\n", ":2: invalid entry 'x'"),
                           ("2\n0 1\n1_0 0\n", ":3: invalid entry '1_0'"),
-                          ("2\n0 1\n\u0661 0\n", ":3: invalid entry '\u0661'")):
+                          ("2\n0 1\n\u0661 0\n", ":3: invalid entry '\u0661'"),
+                          ("2\n0\u00a0x\n1 0\n", ":2: invalid entry 'x'")):
         path.write_text(text)
         with pytest.raises(ValueError) as info:
             load_cayley_table(path)
