@@ -15,14 +15,7 @@ from .graphs import EXPORT_FORMATS, are_isomorphic, export, graph_from_json
 from .groups import direct_product
 from .groupspec import parse_group_spec
 from .power import power_graph, power_graph_bundle, power_weights
-from .products import (
-    PRODUCT_KINDS,
-    cartesian_product_graph,
-    check_product_size,
-    direct_product_graph,
-    generalized_product_graph,
-    normal_product_graph,
-)
+from .products import PRODUCT_KINDS, check_product_size, classical_product, generalized_product_graph
 from .progressions import SENTINEL, WeightTable
 from .verify import (
     DEFAULT_MAX_ORDER,
@@ -114,8 +107,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
     group = parse_group_spec(args.spec)
     if args.dump_weights:
         _print_weights(power_weights(group))
-    else:
-        print(export(power_graph(group), args.format))
+    elif text := export(power_graph(group), args.format):
+        print(text)
     return 0
 
 
@@ -132,11 +125,11 @@ def _cmd_product(args: argparse.Namespace) -> int:
         b1, b2 = power_graph_bundle(g1), power_graph_bundle(g2)
         result = generalized_product_graph(b1.graph, b1.weights, b2.graph, b2.weights)
     else:
-        build = {"direct": direct_product_graph,
-                 "cartesian": cartesian_product_graph,
-                 "normal": normal_product_graph}[args.kind]
+        build, _, _ = classical_product(args.kind)
         result = build(power_graph(g1), power_graph(g2))
-    print(export(result, args.format))
+    # An edgeless graph's edgelist is empty, and prints no line.
+    if text := export(result, args.format):
+        print(text)
     return 0
 
 
@@ -160,8 +153,9 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
 
 
 def _cmd_iso(args: argparse.Namespace) -> int:
-    a = graph_from_json(Path(args.file1).read_text())
-    b = graph_from_json(Path(args.file2).read_text())
+    # utf-8-sig also drops one leading byte-order mark.
+    a = graph_from_json(Path(args.file1).read_text(encoding="utf-8-sig"))
+    b = graph_from_json(Path(args.file2).read_text(encoding="utf-8-sig"))
     iso, witness = are_isomorphic(a, b)
     if iso:
         print(" ".join(str(w) for w in witness))

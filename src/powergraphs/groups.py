@@ -275,7 +275,8 @@ def load_cayley_table(path: str | Path) -> FiniteGroup:
     """
     path = Path(path)
     lines = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    # utf-8-sig also drops one leading byte-order mark.
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue

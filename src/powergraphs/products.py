@@ -9,6 +9,7 @@ other fixed (the box product) and "normal" is the union of direct and
 cartesian adjacency (elsewhere called the strong product).
 """
 
+from collections.abc import Callable
 from itertools import chain
 from math import gcd
 
@@ -17,7 +18,8 @@ from .progressions import APPair, SENTINEL, WeightTable, aps_intersect_positivel
 
 DEFAULT_SIZE_CAP = 10000
 
-PRODUCT_KINDS = ("direct", "cartesian", "normal", "generalized")
+CLASSICAL_KINDS = ("direct", "cartesian", "normal")
+PRODUCT_KINDS = (*CLASSICAL_KINDS, "generalized")
 
 # classical_weights: (arc value, diagonal value) per kind.
 _WEIGHT_CASES = {
@@ -76,6 +78,18 @@ def cartesian_product_graph(a: SimpleGraph, b: SimpleGraph) -> SimpleGraph:
 def normal_product_graph(a: SimpleGraph, b: SimpleGraph) -> SimpleGraph:
     """Union of direct and cartesian adjacency."""
     return SimpleGraph(_product_labels(a, b), chain(_direct_edges(a, b), _cartesian_edges(a, b)))
+
+
+def classical_product(kind: str) -> tuple[Callable[[SimpleGraph, SimpleGraph], SimpleGraph], str, str]:
+    """The constructor of a classical product, and the classical_weights kinds
+    of its left and right factors under which the weighted product reproduces it."""
+    # Built per call, so a constructor rebound on this module (as bench/tracing.py does) is used.
+    cases = {"direct": (direct_product_graph, "direct", "direct"),
+             "cartesian": (cartesian_product_graph, "cartesian-left", "cartesian-right"),
+             "normal": (normal_product_graph, "normal", "normal")}
+    if kind not in cases:
+        raise ValueError(f"unknown product kind {kind!r}; expected one of {', '.join(cases)}")
+    return cases[kind]
 
 
 def generalized_product_graph(a: SimpleGraph, wa: WeightTable,
@@ -168,5 +182,5 @@ def classical_weights(kind: str, g: SimpleGraph) -> WeightTable:
 
 def _check_weights(g: SimpleGraph, w: WeightTable, side: str) -> None:
     n = g.vertex_count
-    if len(w) != n or any(not 0 <= b < n for row in w for b in row):
-        raise ValueError(f"{side} weight table needs {n} rows with targets in 0..{n - 1}")
+    if len(w) != n or any(not 0 <= b < n or step < 0 for row in w for b, (_, step) in row.items()):
+        raise ValueError(f"{side} weight table needs {n} rows with targets in 0..{n - 1} and steps >= 0")

@@ -1,7 +1,7 @@
 """Arithmetic progressions over the nonnegative integers.
 
-AP(a, d) denotes {a + k*d : k = 0, 1, 2, ...}; a zero step gives the
-singleton {a}.  The pair (0, 0) serves as a sentinel meaning "no relation":
+AP(a, d) denotes {a + k*d : k = 0, 1, 2, ...} with step d >= 0; a zero
+step gives the singleton {a}.  The pair (0, 0) serves as a sentinel meaning "no relation":
 its set {0} never meets the positive integers.  Weight rows store only
 non-sentinel cells: an absent key means no relation, and the weight dump
 still prints it as (0,0).

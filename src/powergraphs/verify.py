@@ -27,13 +27,8 @@ from .graphs import SimpleGraph, are_isomorphic, graphs_equal_labeled, has_unive
 from .groups import FiniteGroup, direct_product
 from .groupspec import parse_group_spec
 from .power import PowerGraphBundle, power_graph, power_graph_bundle, power_weights, exponent_set_window
-from .products import (
-    cartesian_product_graph,
-    classical_weights,
-    direct_product_graph,
-    generalized_product_graph,
-    normal_product_graph,
-)
+from .products import (CLASSICAL_KINDS, cartesian_product_graph, classical_product, classical_weights,
+                       generalized_product_graph)
 from .progressions import SENTINEL, ap_contains
 
 DEFAULT_MAX_ORDER = 36
@@ -142,12 +137,7 @@ def random_graph(rng: random.Random, n: int) -> SimpleGraph:
 
 def check_classical_weights(kind: str, seed: int = DEFAULT_SEED) -> list[InstanceResult]:
     """Weighted product vs one classical product on seeded random graph pairs."""
-    classical = {"direct": direct_product_graph,
-                 "cartesian": cartesian_product_graph,
-                 "normal": normal_product_graph}[kind]
-    weight_kinds = {"direct": ("direct", "direct"),
-                    "cartesian": ("cartesian-left", "cartesian-right"),
-                    "normal": ("normal", "normal")}[kind]
+    classical, left_kind, right_kind = classical_product(kind)
     rng = random.Random(f"{seed}:{kind}")
     results = []
     for trial in range(RANDOM_TRIALS):
@@ -156,8 +146,8 @@ def check_classical_weights(kind: str, seed: int = DEFAULT_SEED) -> list[Instanc
         subject = (f"trial {trial:02d}: {a.vertex_count}x{b.vertex_count} vertices, "
                    f"{a.edge_count}+{b.edge_count} edges")
         expected = classical(a, b)
-        got = generalized_product_graph(a, classical_weights(weight_kinds[0], a),
-                                        b, classical_weights(weight_kinds[1], b))
+        got = generalized_product_graph(a, classical_weights(left_kind, a),
+                                        b, classical_weights(right_kind, b))
         if graphs_equal_labeled(expected, got):
             results.append(InstanceResult(subject, True, f"{expected.edge_count} edges"))
         else:
@@ -199,7 +189,7 @@ def verify_all(max_order: int = DEFAULT_MAX_ORDER,
     reports.append(VerificationReport("exponent-window", instances,
                                       time.perf_counter() - start))
 
-    for kind in ("direct", "cartesian", "normal"):
+    for kind in CLASSICAL_KINDS:
         start = time.perf_counter()
         instances = check_classical_weights(kind, seed=seed)
         reports.append(VerificationReport(f"classical-weights-{kind}", instances,

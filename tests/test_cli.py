@@ -46,6 +46,11 @@ def test_build_trivial_json(capsys):
     assert out == '{"vertices":["0"],"edges":[]}\n'
 
 
+@pytest.mark.parametrize("argv", [["build", "C1"], ["product", "direct", "C1", "C2"]])
+def test_edgeless_edgelist_prints_nothing(capsys, argv):
+    assert run(capsys, *argv) == (0, "", "")
+
+
 def test_build_c6_line_count(capsys):
     code, out, _ = run(capsys, "build", "C6")
     assert code == 0
@@ -168,6 +173,12 @@ def test_iso_relabeled_self(tmp_path, capsys):
     for u in range(6):
         for v in range(u + 1, 6):
             assert g_adj(u, v) == h_adj(perm[u], perm[v])
+
+
+def test_iso_reads_a_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "bom.json"
+    path.write_text("\ufeff" + export(power_graph(cyclic(4)), "json"), encoding="utf-8")
+    assert run(capsys, "iso", str(path), str(path)) == (0, "0 1 2 3\n", "")
 
 
 def test_iso_bad_file(tmp_path, capsys):

@@ -566,10 +566,12 @@ def test_load_cayley_table(tmp_path):
 def test_load_accepts_non_ascii_separators(tmp_path):
     # str.split() splits on U+00A0, U+2003 and U+3000; such rows take the
     # slow path and must still yield their own entries, not the row before.
+    # A leading UTF-8 byte-order mark, as some editors write, is dropped.
     path = tmp_path / "klein.tbl"
     for text in ("2\n0\u00a01\n1 0\n",
-                 "4\n0 1 2 3\n1\u00a00\u20033\u30002\n2 3 0 1\n3\u00a02 1 0\n"):
-        path.write_text(text)
+                 "4\n0 1 2 3\n1\u00a00\u20033\u30002\n2 3 0 1\n3\u00a02 1 0\n",
+                 "\ufeff2\n0 1\n1 0\n"):
+        path.write_text(text, encoding="utf-8")
         rows = [line.split() for line in text.splitlines()[1:]]
         assert load_cayley_table(path).table == [[int(tok) for tok in row] for row in rows]
 

@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+import powergraphs.products
 from powergraphs import (
     APPair,
     SENTINEL,
@@ -23,7 +24,9 @@ from powergraphs import (
     power_graph,
     power_graph_bundle,
 )
-from powergraphs.verify import family_groups
+from powergraphs.cli import main
+from powergraphs.products import CLASSICAL_KINDS, classical_product
+from powergraphs.verify import RANDOM_TRIALS, check_classical_weights, family_groups
 
 
 def k2():
@@ -209,6 +212,38 @@ def test_weight_table_shape_checked():
     for row in ({2: APPair(1, 1)}, {-1: APPair(1, 1)}):
         with pytest.raises(ValueError, match="left weight table"):
             generalized_product_graph(k2(), [row, {}], k2(), direct)
+    # AP(3, -2) would be read as {3, 5, 7, ...} and meet AP(5, 0)
+    negative, singleton = [{1: APPair(3, -2)}, {}], [{1: APPair(5, 0)}, {}]
+    with pytest.raises(ValueError, match="left weight table .* steps >= 0"):
+        generalized_product_graph(k2(), negative, k2(), singleton)
+    with pytest.raises(ValueError, match="right weight table .* steps >= 0"):
+        generalized_product_graph(k2(), singleton, k2(), negative)
+
+
+def test_classical_product_pairs_constructor_and_weight_kinds():
+    assert classical_product("direct") == (direct_product_graph, "direct", "direct")
+    assert classical_product("cartesian") == (cartesian_product_graph, "cartesian-left", "cartesian-right")
+    assert classical_product("normal") == (normal_product_graph, "normal", "normal")
+    with pytest.raises(ValueError) as info:
+        classical_product("generalized")
+    assert str(info.value) == "unknown product kind 'generalized'; expected one of direct, cartesian, normal"
+
+
+@pytest.mark.parametrize("kind", CLASSICAL_KINDS)
+def test_classical_constructors_are_looked_up_at_call_time(monkeypatch, kind):
+    # The benchmark's tracer rebinds the constructors on the products module
+    # after import; the CLI and the sweep must both call the rebound one.
+    name = f"{kind}_product_graph"
+    original, calls = getattr(powergraphs.products, name), []
+
+    def recording(a, b):
+        calls.append((a.vertex_count, b.vertex_count))
+        return original(a, b)
+    monkeypatch.setattr(powergraphs.products, name, recording)
+    assert main(["product", kind, "C2", "C3"]) == 0
+    assert calls == [(2, 3)]
+    assert all(result.passed for result in check_classical_weights(kind))
+    assert len(calls) == 1 + RANDOM_TRIALS
 
 
 def dense_generalized_product(a, wa, b, wb):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import powergraphs.power
+import powergraphs.products
 import powergraphs.verify
 from powergraphs import (
     APPair,
@@ -250,7 +251,7 @@ def test_sweep_dumps_a_cartesian_obstruction_failure(monkeypatch, capsys):
 
 def test_sweep_dumps_a_classical_weights_failure(monkeypatch, capsys):
     seen = []
-    monkeypatch.setattr(powergraphs.verify, "direct_product_graph",
+    monkeypatch.setattr(powergraphs.products, "direct_product_graph",
                         first_nonempty_altered(direct_product_graph, without_first_edge, seen))
     code, fails = run_faulty_sweep(capsys)
     # Each trial builds one direct product, so the call number is the trial's.
