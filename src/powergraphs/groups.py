@@ -109,9 +109,10 @@ def group_from_cayley_table(table, name: str = "G") -> FiniteGroup:
     for i, row in enumerate(rows):
         if len(row) != n:
             raise ValueError(f"table is not square: row {i} has {len(row)} entries, expected {n}")
-        # A row of exact ints holding every index passes whole; only the
-        # others are walked, to keep bool and int subclasses apart and name the cell.
-        if set(map(type, row)) == {int} and set(row) == full:
+        # A row of ints (bool aside) in 0..n-1 passes whole; only the
+        # others are walked, to name the first cell that is not an index.
+        if all(issubclass(t, int) and t is not bool for t in set(map(type, row))) \
+                and full.issuperset(row):
             continue
         for j, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
@@ -275,8 +276,9 @@ def load_cayley_table(path: str | Path) -> FiniteGroup:
     """
     path = Path(path)
     lines = []
-    # utf-8-sig also drops one leading byte-order mark.
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
+    # utf-8-sig also drops one leading byte-order mark.  read_text turns \r\n
+    # and \r into \n; splitlines() would also end lines at \x0c or U+2028.
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8-sig").split("\n"), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -284,10 +286,9 @@ def load_cayley_table(path: str | Path) -> FiniteGroup:
     if not lines:
         raise ValueError(f"{path}: no data lines")
     header_line, header = lines[0]
-    try:
-        n = _decimal(header)
-    except ValueError:
-        raise ValueError(f"{path}:{header_line}: expected group order, got {header!r}") from None
+    if not _is_decimal(header):
+        raise ValueError(f"{path}:{header_line}: expected group order, got {header!r}")
+    n = int(header)
     if n < 1:
         raise InvalidOrder(f"{path}:{header_line}: order must be >= 1, got {n}")
     if n > DEFAULT_ORDER_CAP:
@@ -302,28 +303,25 @@ def load_cayley_table(path: str | Path) -> FiniteGroup:
             if len(tokens) != n:
                 raise ValueError(f"{path}:{lineno}: expected {n} entries, got {len(tokens)}")
             try:
-                # On ASCII text without '_', int() takes only a sign and digits.
-                if not text.isascii() or "_" in text:
+                # Joined ASCII tokens without '_' are a sign and digits to
+                # int(), whatever Unicode whitespace separated them.
+                if "_" in text or not "".join(tokens).isascii():
                     raise ValueError
-                row = [int(tok) for tok in tokens]
+                row = list(map(int, tokens))
             except ValueError:
-                # Slow path: non-ASCII text (digits or separators such as
-                # U+00A0, which str.split accepts) or a '_'.
-                row = []
-                for tok in tokens:
-                    try:
-                        row.append(_decimal(tok))
-                    except ValueError:
-                        raise ValueError(f"{path}:{lineno}: invalid entry {tok!r}") from None
+                bad = next(tok for tok in tokens if not _is_decimal(tok))
+                raise ValueError(f"{path}:{lineno}: invalid entry {bad!r}") from None
             yield row
 
     return group_from_cayley_table(rows(), name=path.stem)
 
 
-def _decimal(token: str) -> int:
-    """int(token) for an optional sign and ASCII digits only; int() alone
-    also takes '_' between digits and any Unicode decimal digit."""
+def _is_decimal(token: str) -> bool:
+    """An optional sign, then ASCII digits that int() reads; int() alone also
+    takes '_' between digits and any Unicode decimal digit."""
     digits = token[1:] if token[:1] in ("+", "-") else token
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not a decimal integer: {token!r}")
-    return int(token)
+    try:
+        # int() still refuses more digits than sys.get_int_max_str_digits().
+        return digits.isascii() and digits.isdigit() and int(digits) >= 0
+    except ValueError:
+        return False

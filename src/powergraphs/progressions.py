@@ -53,12 +53,12 @@ def aps_intersect_positively(p: APPair, q: APPair) -> bool:
 def aps_intersect_oracle(p: APPair, q: APPair) -> bool:
     """Enumerative ground truth for aps_intersect_positively.
 
-    If any common element exists, the least one is at most
-    max(start) + lcm of the (positive) steps; enumerating out to twice the
-    lcm leaves margin, so a miss within the bound is a genuine miss.
+    If any common element m >= 1 exists, the least one is at most
+    max(start, 1) + lcm of the (positive) steps; enumerating out to twice
+    the lcm leaves margin, so a miss within the bound is a genuine miss.
     """
     span = lcm(max(p.step, 1), max(q.step, 1))
-    bound = max(p.start, q.start) + 2 * span
+    bound = max(p.start, q.start, 1) + 2 * span
     common = _enumerate_up_to(p, bound) & _enumerate_up_to(q, bound)
     return any(m >= 1 for m in common)
 

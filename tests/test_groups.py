@@ -96,6 +96,13 @@ def test_non_integer_entry_is_not_closed():
         with pytest.raises(NotClosed) as info:
             group_from_cayley_table(table)
         assert str(info.value) == f"entry {fake_one!r} at row 0, column 1 is not an index in 0..2"
+    # True among IntEnum members is still named by its cell.
+    members = list(IntEnum("Z3", [(f"e{i}", i) for i in range(3)]))
+    table = [[members[(i + j) % 3] for j in range(3)] for i in range(3)]
+    table[2][1] = True
+    with pytest.raises(NotClosed) as info:
+        group_from_cayley_table(table)
+    assert str(info.value) == "entry True at row 2, column 1 is not an index in 0..2"
 
 
 def test_int_subclass_entries_are_indices():
@@ -104,6 +111,14 @@ def test_int_subclass_entries_are_indices():
     g = group_from_cayley_table(table)
     assert g.table == cyclic(4).table
     assert g.element_orders == [1, 4, 2, 4]
+    # A row mixing int and IntEnum entries passes closure as well.
+    table[1] = [1, members[2], 3, members[0]]
+    assert group_from_cayley_table(table).table == cyclic(4).table
+    # A member outside 0..n-1 is named by its cell.
+    table[2][3] = list(IntEnum("Z5", [(f"e{i}", i) for i in range(5)]))[4]
+    with pytest.raises(NotClosed) as info:
+        group_from_cayley_table(table)
+    assert str(info.value) == f"entry {table[2][3]!r} at row 2, column 3 is not an index in 0..3"
 
 
 def test_no_identity():
@@ -564,8 +579,8 @@ def test_load_cayley_table(tmp_path):
 
 
 def test_load_accepts_non_ascii_separators(tmp_path):
-    # str.split() splits on U+00A0, U+2003 and U+3000; such rows take the
-    # slow path and must still yield their own entries, not the row before.
+    # str.split() splits on U+00A0, U+2003 and U+3000; such rows are read
+    # like ASCII ones and must still yield their own entries, not the row before.
     # A leading UTF-8 byte-order mark, as some editors write, is dropped.
     path = tmp_path / "klein.tbl"
     for text in ("2\n0\u00a01\n1 0\n",
@@ -574,6 +589,18 @@ def test_load_accepts_non_ascii_separators(tmp_path):
         path.write_text(text, encoding="utf-8")
         rows = [line.split() for line in text.splitlines()[1:]]
         assert load_cayley_table(path).table == [[int(tok) for tok in row] for row in rows]
+
+
+def test_load_splits_lines_only_at_newlines(tmp_path):
+    # U+2028 and a form feed are not line ends: the first stays in its
+    # comment, the second separates entries.  CRLF and bare CR still end lines.
+    path = tmp_path / "c2.tbl"
+    for data in ("# note\u2028more\n2\n0 1\n1 0\n".encode(),
+                 b"2\n0\x0c1\n1 0\n",
+                 b"2\r\n0 1\r\n1 0\r\n",
+                 b"2\r0 1\r1 0\r"):
+        path.write_bytes(data)
+        assert load_cayley_table(path).table == [[0, 1], [1, 0]]
 
 
 def test_load_rejects_bad_header(tmp_path):
@@ -619,7 +646,12 @@ def test_load_rejects_non_integer_entry(tmp_path):
                           ("3\n0 +1 x\n1 2 0\n2 0 1\n", ":2: invalid entry 'x'"),
                           ("2\n0 1\n1_0 0\n", ":3: invalid entry '1_0'"),
                           ("2\n0 1\n\u0661 0\n", ":3: invalid entry '\u0661'"),
-                          ("2\n0\u00a0x\n1 0\n", ":2: invalid entry 'x'")):
+                          ("2\n0\u00a0x\n1 0\n", ":2: invalid entry 'x'"),
+                          ("2\n0\u30001_0\n1 0\n", ":2: invalid entry '1_0'"),
+                          # A form-feed line still counts as a line.
+                          ("2\n0 1\n\x0c\n1 x\n", ":4: invalid entry 'x'"),
+                          # int() refuses more digits than sys.get_int_max_str_digits().
+                          (f"2\n0 {'0' * 5000}1\n1 0\n", f":2: invalid entry '{'0' * 5000}1'")):
         path.write_text(text)
         with pytest.raises(ValueError) as info:
             load_cayley_table(path)

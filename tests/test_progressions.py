@@ -65,11 +65,12 @@ def test_shared_member_implies_intersection():
 
 def test_oracle_matches_decision_on_small_grid():
     # the full [0,12]^4 grid lives in the acceptance suite; this keeps the
-    # unit run quick while staying exhaustive over a smaller cube
-    for pa in range(9):
+    # unit run quick while staying exhaustive over a smaller cube, which
+    # also takes negative starts
+    for pa in range(-4, 9):
         for pd in range(9):
             p = APPair(pa, pd)
-            for qa in range(9):
+            for qa in range(-4, 9):
                 for qd in range(9):
                     q = APPair(qa, qd)
                     assert aps_intersect_positively(p, q) == aps_intersect_oracle(p, q), (p, q)
