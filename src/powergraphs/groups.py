@@ -220,34 +220,30 @@ def symmetric(n: int) -> FiniteGroup:
     if not 1 <= n <= 5:
         raise InvalidOrder(f"symmetric group parameter must be in [1, 5], got {n}")
     perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[tuple(p[q[x]] for x in range(n))] for q in perms] for p in perms]
     names = ["".join(str(x) for x in p) for p in perms]
-    return FiniteGroup(table, name=f"S{n}", element_names=names)
+    return _from_product(perms, lambda p, q: tuple(p[x] for x in q), f"S{n}", names)
 
 
 def quaternion8() -> FiniteGroup:
-    """Quaternion group {1, -1, i, -i, j, -j, k, -k} of order 8."""
-    # Element 2*axis + (0 if positive else 1), axes 1, i, j, k.
-    def mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-        sa, ta = a
-        sb, tb = b
-        if ta == 0:
-            return (sa * sb, tb)
-        if tb == 0:
-            return (sa * sb, ta)
-        if ta == tb:
-            return (-sa * sb, 0)
-        # i*j = k and cyclically; swapping the factors flips the sign.
-        axis = 6 - ta - tb
-        sign = 1 if (ta, tb) in ((1, 2), (2, 3), (3, 1)) else -1
-        return (sign * sa * sb, axis)
+    """Quaternion group {1, -1, i, -i, j, -j, k, -k} of order 8.
 
-    elements = [(s, t) for t in range(4) for s in (1, -1)]
-    index = {e: x for x, e in enumerate(elements)}
-    table = [[index[mul(a, b)] for b in elements] for a in elements]
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    return FiniteGroup(table, name="Q8", element_names=names)
+    Element (a, b, c, d) is a + bi + cj + dk under Hamilton's product.
+    """
+    def mul(p, q):
+        a, b, c, d = p
+        w, x, y, z = q
+        return (a * w - b * x - c * y - d * z, a * x + b * w + c * z - d * y,
+                a * y - b * z + c * w + d * x, a * z + b * y - c * x + d * w)
+
+    units = [tuple(s * (t == axis) for t in range(4)) for axis in range(4) for s in (1, -1)]
+    return _from_product(units, mul, "Q8", ["1", "-1", "i", "-i", "j", "-j", "k", "-k"])
+
+
+def _from_product(elements: list, mul, name: str, names: list[str]) -> FiniteGroup:
+    """The group of the listed elements under mul, each element indexed by its position."""
+    index = {e: i for i, e in enumerate(elements)}
+    return FiniteGroup([[index[mul(a, b)] for b in elements] for a in elements],
+                       name=name, element_names=names)
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
@@ -261,8 +257,11 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     n = n1 * n2
     if n > DEFAULT_ORDER_CAP:
         raise OrderOverflow(f"product order {n} exceeds cap {DEFAULT_ORDER_CAP}")
-    # Row (i1, i2) lists (i1*j1, i2*j2) over the columns (j1, j2) in index order.
-    table = [[x1 * n2 + x2 for x1 in t1 for x2 in t2] for t1 in g1.table for t2 in g2.table]
+    # Row (i1, i2) lists (i1*j1, i2*j2) over the columns (j1, j2) in index order,
+    # read from one list of the indices x1*n2 + x2 per x1, so rows share their ints.
+    blocks = [list(range(x, x + n2)) for x in range(0, n, n2)]
+    table = [[b[x2] for x1 in t1 for b in (blocks[x1],) for x2 in t2]
+             for t1 in g1.table for t2 in g2.table]
     names = [f"({a},{b})" for a in g1.element_names for b in g2.element_names]
     return FiniteGroup(table, name=f"{g1.name}x{g2.name}", element_names=names)
 

@@ -7,6 +7,7 @@ atom, so paths containing "x" right before an atom-shaped tail cannot be
 used inside product expressions.
 """
 
+from collections.abc import Callable
 from functools import reduce
 
 from .groups import (
@@ -38,15 +39,18 @@ def parse_group_spec(text: str) -> FiniteGroup:
     or size keeps the builder's error, with the atom's position appended.
     """
     factors = []
-    for atom in _tokenize(text):
+    for build, args, position in _tokenize(text):
         try:
-            factors.append(_build_atom(atom))
+            factors.append(build(*args))
         except (InvalidOrder, OrderOverflow) as exc:
-            raise type(exc)(f"{exc} (position {atom[2]})") from None
+            raise type(exc)(f"{exc} (position {position})") from None
     return reduce(direct_product, factors)
 
 
-def _tokenize(text: str) -> list[tuple[str, str | int | None, int]]:
+def _tokenize(text: str) -> list[tuple[Callable[..., FiniteGroup], tuple, int]]:
+    # Each atom becomes (builder, arguments, position); nothing is built until
+    # every atom has parsed.  Builders are read from the module's globals on
+    # each call, so a name rebound on this module is the one called.
     if not text:
         raise ParseError("empty group spec", 0)
     atoms = []
@@ -61,9 +65,9 @@ def _tokenize(text: str) -> list[tuple[str, str | int | None, int]]:
             path = text[path_start:pos]
             if not path:
                 raise ParseError("missing path after 'cayley:'", path_start)
-            atoms.append(("cayley", path, start))
+            atoms.append((load_cayley_table, (path,), start))
         elif text.startswith("Q8", pos):
-            atoms.append(("Q8", None, start))
+            atoms.append((quaternion8, (), start))
             pos += 2
         elif pos < len(text) and text[pos] in "CDS":
             letter = text[pos]
@@ -73,7 +77,11 @@ def _tokenize(text: str) -> list[tuple[str, str | int | None, int]]:
                 pos += 1
             if pos == digits_start:
                 raise ParseError(f"expected a number after '{letter}'", digits_start)
-            atoms.append((letter, int(text[digits_start:pos]), start))
+            try:
+                n = int(text[digits_start:pos])
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise ParseError(f"number after '{letter}' is too long", digits_start) from None
+            atoms.append(({"C": cyclic, "D": dihedral, "S": symmetric}[letter], (n,), start))
         else:
             raise ParseError(f"expected a group atom, found {text[pos:pos + 8]!r}", pos)
         if pos == len(text):
@@ -89,16 +97,3 @@ def _starts_atom(text: str, pos: int) -> bool:
     if pos >= len(text):
         return False
     return text[pos] in "CDS" or text.startswith("Q8", pos) or text.startswith("cayley:", pos)
-
-
-def _build_atom(atom: tuple[str, str | int | None, int]) -> FiniteGroup:
-    kind, value, _ = atom
-    if kind == "C":
-        return cyclic(value)
-    if kind == "D":
-        return dihedral(value)
-    if kind == "S":
-        return symmetric(value)
-    if kind == "Q8":
-        return quaternion8()
-    return load_cayley_table(value)

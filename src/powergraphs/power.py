@@ -7,10 +7,11 @@ The weight table W holds one row per element: row a maps each power
 b = a^t, t = 1..o(a), to the APPair (t, o(a)), t the least positive
 exponent with a^t = b.  An absent key means the sentinel (0, 0): b is not
 a power of a (the weight dump still prints (0,0) for it).  The set of all
-exponents m with a^m = b is then exactly AP(W(a, b)).  Only the weighted
-product reads W.
+exponents m with a^m = b is then exactly AP(W(a, b)).  The weighted
+product, `--dump-weights` and verify-all's exponent-window claim read W.
 """
 
+import functools
 from dataclasses import dataclass
 
 from .graphs import SimpleGraph
@@ -29,9 +30,10 @@ class PowerGraphBundle:
 
 def power_weights(g: FiniteGroup) -> WeightTable:
     """Sparse weight rows of g: row a holds its o(a) powers a^1..a^o(a)."""
-    walks = (g.powers(a) for a in range(g.order))
+    # Rows of elements of order o share one list of cells (1, o)..(o, o);
     # a^1..a^o(a) are pairwise distinct, so each power is set once.
-    return [{x: APPair(t, len(walk)) for t, x in enumerate(walk, 1)} for walk in walks]
+    cells = functools.cache(lambda o: [APPair(t, o) for t in range(1, o + 1)])
+    return [dict(zip(walk, cells(len(walk)))) for walk in map(g.powers, range(g.order))]
 
 
 def power_graph_bundle(g: FiniteGroup) -> PowerGraphBundle:

@@ -1,7 +1,10 @@
 """Group construction, table validation, and the built-in families."""
 
+import itertools
 import random
+import tracemalloc
 from collections import Counter
+from functools import reduce
 from enum import IntEnum
 
 import pytest
@@ -477,6 +480,27 @@ def test_quaternion():
     i, j = names.index("i"), names.index("j")
     assert names[g.table[i][j]] == "k"
     assert names[g.table[j][i]] == "-k"
+    assert names == ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
+    assert g.table == [
+        [0, 1, 2, 3, 4, 5, 6, 7],
+        [1, 0, 3, 2, 5, 4, 7, 6],
+        [2, 3, 1, 0, 6, 7, 5, 4],
+        [3, 2, 0, 1, 7, 6, 4, 5],
+        [4, 5, 7, 6, 1, 0, 2, 3],
+        [5, 4, 6, 7, 0, 1, 3, 2],
+        [6, 7, 4, 5, 3, 2, 1, 0],
+        [7, 6, 5, 4, 2, 3, 0, 1],
+    ]
+
+
+def test_symmetric_tables_compose_permutations():
+    for n in range(1, 6):
+        g = symmetric(n)
+        perms = sorted(itertools.permutations(range(n)))
+        assert g.element_names == ["".join(map(str, p)) for p in perms]
+        for i, p in enumerate(perms):
+            for j, q in enumerate(perms):
+                assert perms[g.table[i][j]] == tuple(p[q[x]] for x in range(n)), (n, p, q)
 
 
 def test_element_order_examples():
@@ -554,6 +578,20 @@ def test_direct_product_is_componentwise():
                 for j2 in range(4):
                     x = g.table[i1 * 4 + i2][j1 * 4 + j2]
                     assert divmod(x, 4) == ((i1 + j1) % 3, (i2 + j2) % 4)
+
+
+def test_direct_product_rows_share_their_ints():
+    c2_5 = reduce(direct_product, [cyclic(2)] * 5)
+    c32 = cyclic(32)
+    tracemalloc.start()
+    try:
+        g = direct_product(c32, c2_5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.order == 1024
+    # 1 M cells: about 8.8 MiB of list slots; a new int per cell took 32.7 MiB.
+    assert peak < 16 * 2**20, peak
 
 
 def test_direct_product_overflow(monkeypatch):

@@ -59,6 +59,8 @@ def test_parse_errors_carry_positions():
         ("C\u00b2", 1),
         # U+0661 U+0662 are decimal digits to str.isdecimal and to int().
         ("C\u0661\u0662", 1),
+        # More digits than int() converts by default.
+        ("C" + "9" * 5000, 1),
     ]
     for text, position in cases:
         with pytest.raises(ParseError) as info:
@@ -66,6 +68,8 @@ def test_parse_errors_carry_positions():
         assert info.value.position == position, text
     with pytest.raises(ParseError, match=r"^expected a number after 'C' \(position 1\)$"):
         parse_group_spec("C\u0661\u0662")
+    with pytest.raises(ParseError, match=r"^number after 'D' is too long \(position 4\)$"):
+        parse_group_spec("C2xD" + "1" * 5000)
     # An atom its builder rejects keeps the builder's error, which names its position.
     for text, position in (("Q8xC0", 3), ("D0", 0), ("C2xS0", 3), ("S6", 0)):
         with pytest.raises(InvalidOrder, match=rf"\(position {position}\)$"):

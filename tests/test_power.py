@@ -1,5 +1,7 @@
 """Power graph construction and the exponent weight table."""
 
+import tracemalloc
+
 import pytest
 
 from powergraphs import (
@@ -62,6 +64,23 @@ def test_weight_examples():
     w = power_weights(cyclic(6))
     assert w[2].get(3, SENTINEL) == SENTINEL
     assert w[2].get(4, SENTINEL) == APPair(2, 3)
+
+
+def test_weight_rows_share_their_cells():
+    for g in (cyclic(12), dihedral(5), symmetric(4), quaternion8()):
+        expected = [{x: APPair(t, len(walk)) for t, x in enumerate(walk, 1)}
+                    for walk in map(g.powers, range(g.order))]
+        assert power_weights(g) == expected, g
+    g = cyclic(600)
+    tracemalloc.start()
+    try:
+        w = power_weights(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, w)) == 156821
+    # A new APPair per cell took 19.3 MiB.
+    assert peak < 10 * 2**20, peak
 
 
 def test_identity_row_is_sentinel():

@@ -15,6 +15,9 @@ from powergraphs import (
     direct_product,
     direct_product_graph,
     generalized_product_graph,
+    group_from_cayley_table,
+    has_universal_vertex,
+    normal_product_graph,
     power_graph,
     power_graph_bundle,
     power_weights,
@@ -262,3 +265,66 @@ def test_sweep_dumps_a_classical_weights_failure(monkeypatch, capsys):
     assert (code, fails) == (1, [
         f"FAIL classical-weights-direct [{subject}]: "
         f"only in left: {{}}; only in right: {{{graph.labels[u]}--{graph.labels[v]}}}"])
+
+
+def permutation_closure(*generators):
+    """The permutation group generated by the given image tuples, as a validated table."""
+    elements = [tuple(range(len(generators[0])))]
+    seen = set(elements)
+    for p in elements:
+        for g in generators:
+            q = tuple(p[x] for x in g)
+            if q not in seen:
+                seen.add(q)
+                elements.append(q)
+    index = {p: i for i, p in enumerate(elements)}
+    return [[index[tuple(p[x] for x in q)] for q in elements] for p in elements]
+
+
+def dicyclic(n):
+    """Dic_n of order 4n: a^k b^s with a^(2n) = 1, b^2 = a^n and b a^m = a^-m b."""
+    def mul(k, s, m, t):
+        if not s:
+            return (k + m) % (2 * n), t
+        # a^k b a^m b^t = a^(k-m) b^(1+t), and b^2 = a^n.
+        return ((k - m + n * t) % (2 * n), 1 - t)
+
+    elements = [(k, s) for s in (0, 1) for k in range(2 * n)]
+    index = {e: i for i, e in enumerate(elements)}
+    return [[index[mul(*x, *y)] for y in elements] for x in elements]
+
+
+def universal_vertices(g):
+    """Elements u such that every x is a power of u or u a power of x."""
+    powers = [set(g.powers(a)) for a in range(g.order)]
+    return sum(all(x in powers[u] or u in powers[x] for x in range(g.order))
+               for u in range(g.order))
+
+
+def test_direct_and_normal_products_differ_from_the_power_graph():
+    extras = {
+        "A4": group_from_cayley_table(permutation_closure((1, 2, 0, 3), (1, 0, 3, 2)), "A4"),
+        "A5": group_from_cayley_table(permutation_closure((1, 2, 0, 3, 4), (0, 1, 3, 4, 2)), "A5"),
+        "Dic3": group_from_cayley_table(dicyclic(3), "Dic3"),
+        "Q16": group_from_cayley_table(dicyclic(4), "Q16"),
+    }
+    assert {name: (g.order, universal_vertices(g)) for name, g in extras.items()} == {
+        "A4": (12, 1), "A5": (60, 1), "Dic3": (12, 1), "Q16": (16, 2)}
+    assert not extras["Dic3"].is_abelian() and not extras["Q16"].is_abelian()
+    family = [g for g in family_groups(36) if g.order > 1]
+    pairs = [(g1, g2) for g1 in family for g2 in family if g1.order * g2.order <= 36]
+    small = {g.name: g for g in family if g.name in ("C2", "C3", "S3")}
+    for extra in extras.values():
+        pairs += [(extra, small["C2"]), (extra, small["C3"]), (extra, small["S3"]),
+                  (small["C2"], extra)]
+    assert len(pairs) == 146
+    for g1, g2 in pairs:
+        p1, p2 = power_graph(g1), power_graph(g2)
+        pg = power_graph(direct_product(g1, g2))
+        subject = f"{g1.name} x {g2.name}"
+        # The identity is universal in every power graph, never in a direct
+        # product of graphs on two or more vertices each.
+        assert has_universal_vertex(pg), subject
+        assert not has_universal_vertex(direct_product_graph(p1, p2)), subject
+        # The normal product holds every edge of the power graph and more.
+        assert set(pg.edges()) < set(normal_product_graph(p1, p2).edges()), subject
