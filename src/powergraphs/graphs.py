@@ -6,57 +6,84 @@ output readable.
 
 import json
 from collections import Counter
+from itertools import compress
 from typing import Iterable, Iterator
 
 DEFAULT_ISO_CAP = 200
 
 EXPORT_FORMATS = ("dot", "edgelist", "json")
 
+# Maps the binary digits "0" and "1" to the bytes 0 and 1, for compress.
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
 
 class TooLarge(ValueError):
     pass
 
 
+def _members(row: int, vertices: list[int]) -> Iterator[int]:
+    """vertices[i] for each set bit i of row, in order; row is below 2**len(vertices)."""
+    # Selecting from a list makes no int for the bits that are clear.
+    return compress(vertices, bin(row)[:1:-1].encode().translate(_DIGIT_BITS))
+
+
 class SimpleGraph:
-    """Labeled undirected simple graph; no loops, no multi-edges."""
+    """Labeled undirected simple graph; no loops, no multi-edges.
+
+    Row u is an int with bit v set iff u ~ v.
+    """
 
     def __init__(self, labels: Iterable[str], edges: Iterable[tuple[int, int]] = ()):
-        self.labels = [str(lab) for lab in labels]
-        n = self.vertex_count = len(self.labels)
-        adj: list[set[int]] = [set() for _ in range(n)]
+        labels = [str(lab) for lab in labels]
+        n = len(labels)
+        rows = [0] * n
         for u, v in edges:
+            # Checked before any shift, so a huge index allocates nothing.
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj = adj
-        self.edge_count = sum(len(nbrs) for nbrs in adj) // 2
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        self._set(labels, rows)
+
+    @classmethod
+    def _of_rows(cls, labels: list[str], rows: list[int]) -> "SimpleGraph":
+        """The graph with these rows: symmetric, below 2**n and without bit u in row u."""
+        g = cls.__new__(cls)
+        g._set(labels, rows)
+        return g
+
+    def _set(self, labels: list[str], rows: list[int]) -> None:
+        self.labels = labels
+        self.vertex_count = len(labels)
+        self._rows = rows
+        self.edge_count = sum(map(int.bit_count, rows)) // 2
 
     def __repr__(self) -> str:
         return f"SimpleGraph({self.vertex_count} vertices, {self.edge_count} edges)"
 
     def degree(self, u: int) -> int:
-        return len(self._adj[u])
+        return self._rows[u].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
         """Unordered edges as sorted (u, v) pairs with u < v."""
-        return sorted((u, v) for u in range(self.vertex_count) for v in self._adj[u] if u < v)
+        vertices = list(range(self.vertex_count))
+        return [(u, v) for u, row in enumerate(self._rows) for v in _members(row >> u + 1, vertices[u + 1:])]
 
     def degree_sequence(self) -> list[int]:
-        return sorted(len(nbrs) for nbrs in self._adj)
+        return sorted(map(int.bit_count, self._rows))
 
 
 def graphs_equal_labeled(a: SimpleGraph, b: SimpleGraph) -> bool:
     """Identical vertex count and adjacency under the identity map."""
-    return a.vertex_count == b.vertex_count and a._adj == b._adj
+    return a.vertex_count == b.vertex_count and a._rows == b._rows
 
 
 def has_universal_vertex(g: SimpleGraph) -> bool:
     """True iff some vertex is adjacent to all others (so always for K1)."""
     full = g.vertex_count - 1
-    return any(len(nbrs) == full for nbrs in g._adj)
+    return any(row.bit_count() == full for row in g._rows)
 
 
 def are_isomorphic(a: SimpleGraph, b: SimpleGraph) -> tuple[bool, list[int] | None]:
@@ -75,24 +102,28 @@ def are_isomorphic(a: SimpleGraph, b: SimpleGraph) -> tuple[bool, list[int] | No
         raise TooLarge(f"isomorphism cap is {DEFAULT_ISO_CAP} vertices")
     if a.vertex_count != b.vertex_count or a.edge_count != b.edge_count:
         return False, None
+    vertices = list(range(a.vertex_count))
+    adj_a, adj_b = ([list(_members(row, vertices)) for row in g._rows] for g in (a, b))
     # The root refinement compares the degree histograms.
-    perm = _search(a, b, list(_refine(a, [0] * a.vertex_count)), [0] * b.vertex_count)
+    perm = _search(adj_a, adj_b, b._rows, list(_refine(adj_a, [0] * a.vertex_count)),
+                   [0] * b.vertex_count)
     return perm is not None, perm
 
 
-def _search(a: SimpleGraph, b: SimpleGraph,
+def _search(a: list[list[int]], b: list[list[int]], rows_b: list[int],
             rounds: list, color_b: list[int]) -> list[int] | None:
-    """A witness mapping each class of a onto the same class of b, given a's refinement rounds."""
+    """A witness mapping each class of a onto the same class of b, given a's
+    refinement rounds; a and b are neighbour lists, rows_b the rows of b."""
     for (sigs_a, color_a), (sigs_b, color_b) in zip(rounds, _refine(b, color_b)):
         if sigs_a != sigs_b:
             return None
-    n = a.vertex_count
+    n = len(a)
     perm = [0] * n
     for v, w in zip(sorted(range(n), key=color_a.__getitem__),
                     sorted(range(n), key=color_b.__getitem__)):
         perm[v] = w
     # Equal edge counts make an edge-preserving bijection an isomorphism.
-    if all(perm[u] in b._adj[perm[v]] for v in range(n) for u in a._adj[v]):
+    if all(rows_b[perm[v]] >> perm[u] & 1 for v in range(n) for u in a[v]):
         return perm
     # A stable coloring of singletons pairs equal signatures, so it passed above.
     cell = min(c for c, size in Counter(color_a).items() if size > 1)
@@ -101,16 +132,16 @@ def _search(a: SimpleGraph, b: SimpleGraph,
     child = list(_refine(a, color_a[:v] + [n] + color_a[v + 1:]))
     for w in range(n):
         if color_b[w] == cell:
-            perm = _search(a, b, child, color_b[:w] + [n] + color_b[w + 1:])
+            perm = _search(a, b, rows_b, child, color_b[:w] + [n] + color_b[w + 1:])
             if perm is not None:
                 return perm
     return None
 
 
-def _refine(g: SimpleGraph, color: list[int]) -> Iterator[tuple[list, list[int]]]:
+def _refine(adj: list[list[int]], color: list[int]) -> Iterator[tuple[list, list[int]]]:
     """Each round until stable: the sorted (signature, count) pairs, and the colors they rank."""
     while True:
-        sigs = [(c, tuple(sorted(color[u] for u in nbrs))) for c, nbrs in zip(color, g._adj)]
+        sigs = [(c, tuple(sorted(color[u] for u in nbrs))) for c, nbrs in zip(color, adj)]
         histogram = sorted(Counter(sigs).items())
         rank = {sig: c for c, (sig, _) in enumerate(histogram)}
         old, color = color, [rank[sig] for sig in sigs]

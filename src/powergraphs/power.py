@@ -1,7 +1,7 @@
 """Power graphs: adjacency through the power relation, with exponent weights.
 
 The power graph joins distinct a, b when one is a power of the other, so
-it is read off the powers a^1..a^o(a) of each element alone.
+it is read off the cyclic subgroups: one walk a^1..a^o(a) per subgroup.
 
 The weight table W holds one row per element: row a maps each power
 b = a^t, t = 1..o(a), to the APPair (t, o(a)), t the least positive
@@ -12,7 +12,9 @@ product, `--dump-weights` and verify-all's exponent-window claim read W.
 """
 
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass
+from math import gcd
 
 from .graphs import SimpleGraph
 from .groups import FiniteGroup
@@ -37,13 +39,41 @@ def power_weights(g: FiniteGroup) -> WeightTable:
 
 
 def power_graph_bundle(g: FiniteGroup) -> PowerGraphBundle:
-    return PowerGraphBundle(g, power_graph(g), power_weights(g))
+    weights = power_weights(g)
+    # Row a's keys are a^1..a^o(a) in order: the graph reuses the walks.
+    return PowerGraphBundle(g, _graph(g, lambda a: list(weights[a])), weights)
 
 
 def power_graph(g: FiniteGroup) -> SimpleGraph:
     """Undirected power graph of g: a ~ b iff one is a power of the other."""
-    # Of a^1..a^o(a) only a^1 is a itself, so the rest are the arcs a -> b.
-    return SimpleGraph(g.element_names, ((a, x) for a in range(g.order) for x in g.powers(a)[1:]))
+    return _graph(g, g.powers)
+
+
+def _graph(g: FiniteGroup, powers: Callable[[int], list[int]]) -> SimpleGraph:
+    """The power graph from powers(a) = [a, a^2, ..., a^o(a)], read once per cyclic subgroup.
+
+    Row x is <x> together with every generator of a cyclic subgroup that
+    holds x.  The generators of <a> are the a^k with k prime to o(a), so one
+    walk gives the rows of all of them.
+    """
+    n = g.order
+    subgroup = [0] * n  # the row of <x>, once x's subgroup is walked
+    above = [0] * n  # the generators of the cyclic subgroups that hold x
+    for a in range(n):
+        if subgroup[a]:
+            continue
+        walk = powers(a)
+        generators = [x for k, x in enumerate(walk, 1) if gcd(k, len(walk)) == 1]
+        # The powers of a are distinct, so summing their bits ORs them.
+        mask = sum(1 << x for x in walk)
+        for x in generators:
+            subgroup[x] = mask
+        mask = sum(1 << x for x in generators)
+        for x in walk:
+            above[x] |= mask
+    # x is in <x> and generates it, so bit x is set on both sides.
+    return SimpleGraph._of_rows(list(g.element_names),
+                                [(own | gens) ^ (1 << x) for x, (own, gens) in enumerate(zip(subgroup, above))])
 
 
 def exponent_set_window(g: FiniteGroup, a: int, b: int, bound: int) -> set[int]:

@@ -10,7 +10,6 @@ cartesian adjacency (elsewhere called the strong product).
 """
 
 from collections.abc import Callable
-from itertools import chain
 from math import gcd
 
 from .graphs import SimpleGraph
@@ -45,39 +44,39 @@ def _product_labels(a: SimpleGraph, b: SimpleGraph) -> list[str]:
     return [f"({la},{lb})" for la in a.labels for lb in b.labels]
 
 
-def _direct_edges(a: SimpleGraph, b: SimpleGraph):
-    nb = b.vertex_count
-    edges_b = b.edges()
-    for u1, v1 in a.edges():
-        for u2, v2 in edges_b:
-            yield u1 * nb + u2, v1 * nb + v2
-            yield u1 * nb + v2, v1 * nb + u2
+def _spread(rows: list[int], nb: int) -> list[int]:
+    """Each row with its bit h moved to bit h * nb.
 
-
-def _cartesian_edges(a: SimpleGraph, b: SimpleGraph):
-    nb = b.vertex_count
-    edges_b = b.edges()
-    for v1 in range(a.vertex_count):
-        for u2, v2 in edges_b:
-            yield v1 * nb + u2, v1 * nb + v2
-    for u1, v1 in a.edges():
-        for v2 in range(nb):
-            yield u1 * nb + v2, v1 * nb + v2
+    Times a row below 2**nb, a spread row sets bit h * nb + v for each bit h
+    of its row and v of the other, with no carries: the vertex indices of the
+    pairs (h, v).
+    """
+    gap = "0" * (nb - 1)
+    return [int(gap.join(bin(row)[:1:-1])[::-1], 2) for row in rows]
 
 
 def direct_product_graph(a: SimpleGraph, b: SimpleGraph) -> SimpleGraph:
     """(g1, g2) ~ (h1, h2) iff g1 ~ h1 and g2 ~ h2."""
-    return SimpleGraph(_product_labels(a, b), _direct_edges(a, b))
+    labels, nb = _product_labels(a, b), b.vertex_count
+    return SimpleGraph._of_rows(labels, [spread1 * row2 for spread1 in _spread(a._rows, nb) for row2 in b._rows])
 
 
 def cartesian_product_graph(a: SimpleGraph, b: SimpleGraph) -> SimpleGraph:
     """(g1, g2) ~ (h1, h2) iff the pairs agree in one slot and are adjacent in the other."""
-    return SimpleGraph(_product_labels(a, b), _cartesian_edges(a, b))
+    labels, nb = _product_labels(a, b), b.vertex_count
+    return SimpleGraph._of_rows(labels, [(row2 << u1 * nb) | (spread1 << u2)
+                                         for u1, spread1 in enumerate(_spread(a._rows, nb))
+                                         for u2, row2 in enumerate(b._rows)])
 
 
 def normal_product_graph(a: SimpleGraph, b: SimpleGraph) -> SimpleGraph:
     """Union of direct and cartesian adjacency."""
-    return SimpleGraph(_product_labels(a, b), chain(_direct_edges(a, b), _cartesian_edges(a, b)))
+    labels, nb = _product_labels(a, b), b.vertex_count
+    # The closed neighbourhoods multiply to the closed neighbourhood of the pair.
+    closed_a, closed_b = ([row | 1 << u for u, row in enumerate(g._rows)] for g in (a, b))
+    return SimpleGraph._of_rows(labels, [(spread1 * closed2) ^ (1 << u1 * nb + u2)
+                                         for u1, spread1 in enumerate(_spread(closed_a, nb))
+                                         for u2, closed2 in enumerate(closed_b)])
 
 
 def classical_product(kind: str) -> tuple[Callable[[SimpleGraph, SimpleGraph], SimpleGraph], str, str]:
@@ -101,58 +100,80 @@ def generalized_product_graph(a: SimpleGraph, wa: WeightTable,
     """
     _check_weights(a, wa, "left")
     _check_weights(b, wb, "right")
-    return SimpleGraph(_product_labels(a, b), _generalized_arcs(wa, wb, b.vertex_count))
+    labels, nb = _product_labels(a, b), b.vertex_count
+    forward = _forward_rows(wa, wb, nb)
+    # x ~ y meets in the reverse orientation iff the forward cells from y to x
+    # meet, so the transposed tables give the reverse rows.
+    reverse = _forward_rows(_transposed(wa), _transposed(wb), nb)
+    return SimpleGraph._of_rows(labels, [f | r for f, r in zip(forward, reverse)])
 
 
-def _generalized_arcs(wa: WeightTable, wb: WeightTable, nb: int):
-    """Every arc x = (g1, g2) -> y = (h1, h2), x != y, whose forward cells meet.
+def _forward_rows(wa: WeightTable, wb: WeightTable, nb: int) -> list[int]:
+    """Row x = (g1, g2): bit y = (h1, h2) set iff y != x and the cells
+    wa[g1][h1] and wb[g2][h2] meet in a positive integer.
 
-    An edge meets in one orientation or the other, so it is the arc x -> y or
-    the arc y -> x; SimpleGraph merges a pair found from both ends.  Two
-    positive-step progressions AP(t1, s1) and AP(t2, s2) meet iff
+    Two positive-step progressions AP(t1, s1) and AP(t2, s2) meet iff
     t1 = t2 mod gcd(s1, s2), so for each pair of steps the targets of both
-    rows are bucketed by start residue and matching buckets are joined
-    without a test.  When a step is 0 both sides are bucketed by start, and
-    each pair of starts is decided by aps_intersect_positively.
+    rows are bucketed by start residue, and each pair of matching buckets
+    adds its left mask times its right mask.  When a step is 0 both sides are
+    bucketed by start, and each pair of starts is decided once per call by
+    aps_intersect_positively.
     """
     # The right rows' buckets are met again for every g1 and are kept; the
     # left row's are needed only while g1 is the current row.
     memo_b = {}
     steps_b = [{step for _, step in row.values()} for row in wb]
+    decided = {}
+    rows = []
     for g1, row1 in enumerate(wa):
         memo_a = {}
         steps1 = {step for _, step in row1.values()}
         for g2, steps2 in enumerate(steps_b):
-            x = g1 * nb + g2
+            row = 0
             for s1 in steps1:
                 for s2 in steps2:
                     d = gcd(s1, s2) if s1 and s2 else 0
-                    # Targets come scaled ready to add: h1 * nb on the left, h2 on the right.
+                    # Left masks set bit h1 * nb, right masks bit h2.
                     left = _buckets(memo_a, wa, g1, s1, d, nb)
                     right = _buckets(memo_b, wb, g2, s2, d, 1)
                     if d:
-                        meeting = [(left[r], right[r]) for r in left.keys() & right.keys()]
+                        for r in left.keys() & right.keys():
+                            row |= left[r] * right[r]
                     else:
-                        meeting = [(ys1, ys2) for t1, ys1 in left.items() for t2, ys2 in right.items()
-                                   if aps_intersect_positively(APPair(t1, s1), APPair(t2, s2))]
-                    for ys1, ys2 in meeting:
-                        for y1 in ys1:
-                            for y2 in ys2:
-                                if y1 + y2 != x:
-                                    yield x, y1 + y2
+                        for t1, mask1 in left.items():
+                            for t2, mask2 in right.items():
+                                key = (t1, s1, t2, s2)
+                                if key not in decided:
+                                    decided[key] = aps_intersect_positively(APPair(t1, s1), APPair(t2, s2))
+                                if decided[key]:
+                                    row |= mask1 * mask2
+            # Meeting diagonal cells would give the arc x -> x: not a self-loop.
+            rows.append(row & ~(1 << len(rows)))
+    return rows
 
 
-def _buckets(memo: dict, w: WeightTable, g: int, step: int, d: int, scale: int) -> dict[int, list[int]]:
-    """The targets of row g whose cell has this step, times scale, keyed by
-    start mod d, or by start when d is 0; memoised on (g, step, d)."""
+def _buckets(memo: dict, w: WeightTable, g: int, step: int, d: int, scale: int) -> dict[int, int]:
+    """The targets of row g whose cell has this step, as masks with bit
+    target * scale, keyed by start mod d, or by start when d is 0; memoised
+    on (g, step, d)."""
     key = (g, step, d)
     buckets = memo.get(key)
     if buckets is None:
         buckets = memo[key] = {}
         for target, (start, s) in w[g].items():
             if s == step:
-                buckets.setdefault(start % d if d else start, []).append(target * scale)
+                r = start % d if d else start
+                buckets[r] = buckets.get(r, 0) | 1 << target * scale
     return buckets
+
+
+def _transposed(w: WeightTable) -> WeightTable:
+    """Row h of the result maps g to w[g][h]."""
+    out = [{} for _ in w]
+    for g, row in enumerate(w):
+        for h, cell in row.items():
+            out[h][g] = cell
+    return out
 
 
 def classical_weights(kind: str, g: SimpleGraph) -> WeightTable:

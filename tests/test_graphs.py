@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -417,3 +418,19 @@ def test_json_parse_errors():
         graph_from_json('{"vertices": ["a", "b"], "edges": [[true, false]]}')
     with pytest.raises(json.JSONDecodeError):
         graph_from_json("not json")
+
+
+def test_json_edge_out_of_range_is_refused_before_it_is_stored():
+    # A row sets bit v for the edge (u, v), so the indices are checked first:
+    # 1 << 2**62 would need 2**59 bytes.
+    for edge, text in (([0, 2**62], "edge (0, 4611686018427387904) out of range for 2 vertices"),
+                       ([-1, 0], "edge (-1, 0) out of range for 2 vertices")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                graph_from_json(json.dumps({"vertices": ["a", "b"], "edges": [[0, 1], edge]}))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == text
+        assert peak < 2**20, peak

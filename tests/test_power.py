@@ -22,6 +22,8 @@ from powergraphs import (
     quaternion8,
     symmetric,
 )
+from powergraphs.groups import FiniteGroup
+from powergraphs.groupspec import parse_group_spec
 from powergraphs.verify import family_groups
 
 
@@ -189,6 +191,47 @@ def test_power_graph_builds_no_weight_rows(monkeypatch):
     monkeypatch.setattr("powergraphs.power.power_weights", refuse)
     for g, graph in zip(family, expected):
         assert graphs_equal_labeled(power_graph(g), graph), g.name
+
+
+def arc_power_graph(g):
+    """Oracle: each arc a -> a^k, k = 2..o(a), handed to SimpleGraph one at a time."""
+    return SimpleGraph(g.element_names, ((a, x) for a in range(g.order) for x in g.powers(a)[1:]))
+
+
+def test_power_graph_matches_arc_oracle_on_family_products():
+    family = family_groups(36)
+    groups = family + [direct_product(g1, g2) for g1 in family for g2 in family
+                       if g1.order * g2.order <= 36]
+    for g in groups:
+        want = arc_power_graph(g)
+        for got in (power_graph(g), power_graph_bundle(g).graph):
+            assert got.labels == want.labels, g.name
+            assert got.edges() == want.edges(), g.name
+
+
+@pytest.mark.parametrize("spec", ["C2000", "D1000", "Q8xC125"])
+def test_power_graph_matches_arc_oracle_on_large_groups(spec):
+    g = parse_group_spec(spec)
+    want = arc_power_graph(g)
+    got = power_graph(g)
+    assert got.edge_count == want.edge_count
+    assert graphs_equal_labeled(got, want)
+    assert got.labels == want.labels
+
+
+def test_bundle_walks_each_element_once(monkeypatch):
+    walked = []
+    original = FiniteGroup.powers
+
+    def counted(self, a):
+        walked.append(a)
+        return original(self, a)
+    monkeypatch.setattr(FiniteGroup, "powers", counted)
+    for g in family_groups(36):
+        walked.clear()
+        bundle = power_graph_bundle(g)
+        assert sorted(walked) == list(range(g.order)), g.name
+        assert graphs_equal_labeled(bundle.graph, arc_power_graph(g))
 
 
 def test_window_for_identity():

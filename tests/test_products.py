@@ -1,6 +1,8 @@
 """The four graph products and the weight constructions behind them."""
 
+import itertools
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -108,6 +110,91 @@ def test_products_match_pairwise_rules():
         assert graphs_equal_labeled(direct_product_graph(a, b), by_rule(a, b, direct_rule))
         assert graphs_equal_labeled(cartesian_product_graph(a, b), by_rule(a, b, cartesian_rule))
         assert graphs_equal_labeled(normal_product_graph(a, b), by_rule(a, b, normal_rule))
+
+
+def product_labels(a, b):
+    return [f"({la},{lb})" for la in a.labels for lb in b.labels]
+
+
+def direct_edges(a, b):
+    """Oracle: each pair of factor edges gives the two direct-product edges, one at a time."""
+    nb = b.vertex_count
+    edges_b = b.edges()
+    for u1, v1 in a.edges():
+        for u2, v2 in edges_b:
+            yield u1 * nb + u2, v1 * nb + v2
+            yield u1 * nb + v2, v1 * nb + u2
+
+
+def cartesian_edges(a, b):
+    """Oracle: a copy of b's edges for each vertex of a, and of a's for each vertex of b."""
+    nb = b.vertex_count
+    edges_b = b.edges()
+    for v1 in range(a.vertex_count):
+        for u2, v2 in edges_b:
+            yield v1 * nb + u2, v1 * nb + v2
+    for u1, v1 in a.edges():
+        for v2 in range(nb):
+            yield u1 * nb + v2, v1 * nb + v2
+
+
+EDGE_ORACLES = {
+    direct_product_graph: direct_edges,
+    cartesian_product_graph: cartesian_edges,
+    normal_product_graph: lambda a, b: itertools.chain(direct_edges(a, b), cartesian_edges(a, b)),
+}
+
+
+def assert_matches_edge_oracles(a, b):
+    for build, oracle in EDGE_ORACLES.items():
+        got, want = build(a, b), SimpleGraph(product_labels(a, b), oracle(a, b))
+        assert got.labels == want.labels
+        assert got.edges() == want.edges(), (build.__name__, a, b)
+        assert got.edge_count == want.edge_count
+
+
+def test_classical_products_match_edge_oracles_on_family_pairs():
+    graphs = [power_graph(g) for g in family_groups(36)]
+    checked = 0
+    for a in graphs:
+        for b in graphs:
+            if a.vertex_count * b.vertex_count <= 36:
+                assert_matches_edge_oracles(a, b)
+                checked += 1
+    assert checked > 100
+
+
+def test_classical_products_match_edge_oracles_on_random_graphs():
+    rng = random.Random(41)
+    special = [SimpleGraph(["*"]), SimpleGraph(list("ab")), SimpleGraph(list("abcd")),
+               random_gnp(rng, 5, 1.0), random_gnp(rng, 7, 1.0), k2()]
+    for a in special:
+        for b in special:
+            assert_matches_edge_oracles(a, b)
+    for _ in range(60):
+        a = random_gnp(rng, rng.randint(1, 12), rng.random())
+        b = random_gnp(rng, rng.randint(1, 12), rng.random())
+        for x, y in ((a, b), (a, rng.choice(special)), (rng.choice(special), b)):
+            assert_matches_edge_oracles(x, y)
+
+
+def test_classical_products_at_the_size_cap_fit_in_memory():
+    # P(C100) has 4430 edges; its square has 10,000 vertices, the size cap.
+    p = power_graph(cyclic(100))
+    assert p.edge_count == 4430
+    tracemalloc.start()
+    try:
+        normal = normal_product_graph(p, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert normal.vertex_count == 10_000
+    assert normal.edge_count == 40_135_800 == 2 * 4430 ** 2 + 2 * 100 * 4430
+    # The edges as sets took about 11 GB.
+    assert peak < 64 * 2**20, peak
+    del normal
+    assert direct_product_graph(p, p).edge_count == 39_249_800 == 2 * 4430 ** 2
+    assert cartesian_product_graph(p, p).edge_count == 886_000 == 2 * 100 * 4430
 
 
 def test_weight_table_values():
@@ -272,40 +359,55 @@ def dense_generalized_product(a, wa, b, wb):
 
 
 def dense_meeting_arcs(wa, wb):
-    """Oracle: the number of ordered pairs x != y whose forward cells meet,
-    over all pairs, with the sentinel in every absent cell."""
+    """Oracle: for each x = (g1, g2), the set of y = (h1, h2) != x whose
+    forward cells meet, over all pairs, with the sentinel in every absent cell."""
     na, nb = len(wa), len(wb)
-    return sum(aps_intersect_positively(wa[g1].get(h1, SENTINEL), wb[g2].get(h2, SENTINEL))
-               for g1 in range(na) for h1 in range(na) for g2 in range(nb) for h2 in range(nb)
-               if (g1, g2) != (h1, h2))
+    return [{h1 * nb + h2 for h1 in range(na) for h2 in range(nb)
+             if (g1, g2) != (h1, h2)
+             and aps_intersect_positively(wa[g1].get(h1, SENTINEL), wb[g2].get(h2, SENTINEL))}
+            for g1 in range(na) for g2 in range(nb)]
+
+
+def cells(w):
+    return {(g, h): cell for g, row in enumerate(w) for h, cell in row.items()}
 
 
 @pytest.fixture
-def counted_arcs(monkeypatch):
-    """Counts the arcs the products module hands to SimpleGraph, and fails on
-    any intersection test of two positive-step cells: the residue join
-    decides those without one."""
-    arcs = [0]
+def forward_joins(monkeypatch):
+    """Records the tables and rows of each forward join the products module
+    runs, and fails on any intersection test of two positive-step cells: the
+    residue join decides those without one."""
+    joins = []
+    join = powergraphs.products._forward_rows
 
     def zero_step_only(p, q):
         assert p.step == 0 or q.step == 0, f"tested positive steps {p} and {q}"
         return aps_intersect_positively(p, q)
 
-    def counted_graph(labels, edges):
-        edges = list(edges)
-        arcs[0] = len(edges)
-        return SimpleGraph(labels, edges)
+    def recorded(wa, wb, nb):
+        rows = join(wa, wb, nb)
+        joins.append((wa, wb, rows))
+        return rows
     monkeypatch.setattr("powergraphs.products.aps_intersect_positively", zero_step_only)
-    monkeypatch.setattr("powergraphs.products.SimpleGraph", counted_graph)
-    return arcs
+    monkeypatch.setattr("powergraphs.products._forward_rows", recorded)
+    return joins
 
 
-def assert_matches_dense(a, wa, b, wb, arcs):
-    arcs[0] = 0
+def assert_matches_dense(a, wa, b, wb, joins):
+    joins.clear()
     got = generalized_product_graph(a, wa, b, wb)
     assert got.edges() == dense_generalized_product(a, wa, b, wb).edges()
-    # Every arc enumerated is an arc that meets, handed over once.
-    assert arcs[0] == dense_meeting_arcs(wa, wb)
+    # One join over the tables and one over their transposes, for the reverse orientation.
+    (wa1, wb1, _), (wa2, wb2, _) = joins
+    assert (wa1, wb1) == (wa, wb)
+    assert cells(wa2) == {(h, g): cell for (g, h), cell in cells(wa).items()}
+    assert cells(wb2) == {(h, g): cell for (g, h), cell in cells(wb).items()}
+    # Each join's row x holds exactly the arcs x -> y that meet, so every
+    # meeting arc is set once and no other.
+    for wx, wy, rows in joins:
+        arcs = dense_meeting_arcs(wx, wy)
+        assert [{y for y in range(len(rows)) if row >> y & 1} for row in rows] == arcs
+        assert sum(map(int.bit_count, rows)) == sum(map(len, arcs))
 
 
 def random_weights(rng, n):
@@ -315,27 +417,27 @@ def random_weights(rng, n):
              for b in range(n) if rng.random() < 0.5} for _ in range(n)]
 
 
-def test_sparse_product_matches_dense_scan_on_random_tables(counted_arcs):
+def test_sparse_product_matches_dense_scan_on_random_tables(forward_joins):
     rng = random.Random(17)
     for _ in range(600):
         na, nb = rng.randint(1, 6), rng.randint(1, 6)
         a = SimpleGraph([str(v) for v in range(na)])
         b = SimpleGraph([str(v) for v in range(nb)])
-        assert_matches_dense(a, random_weights(rng, na), b, random_weights(rng, nb), counted_arcs)
+        assert_matches_dense(a, random_weights(rng, na), b, random_weights(rng, nb), forward_joins)
 
 
-def test_sparse_product_matches_dense_scan_on_power_weights(counted_arcs):
+def test_sparse_product_matches_dense_scan_on_power_weights(forward_joins):
     bundles = [power_graph_bundle(g) for g in family_groups(36)]
     checked = 0
     for b1 in bundles:
         for b2 in bundles:
             if b1.group.order * b2.group.order <= 36:
-                assert_matches_dense(b1.graph, b1.weights, b2.graph, b2.weights, counted_arcs)
+                assert_matches_dense(b1.graph, b1.weights, b2.graph, b2.weights, forward_joins)
                 checked += 1
     assert checked > 100
 
 
-def test_residue_join_edge_cases(counted_arcs):
+def test_residue_join_edge_cases(forward_joins):
     pair = SimpleGraph(["0", "1"])
     # One arc (0,0) -> (1,1), that is 0 -> 3, per case, in both orientations.
     for p, q, meets in ((APPair(0, 3), APPair(3, 3), True),  # start 0 with a positive step
@@ -345,11 +447,11 @@ def test_residue_join_edge_cases(counted_arcs):
                         (APPair(7, 4), APPair(11, 0), True)):
         for left, right in ((p, q), (q, p)):
             wa, wb = [{1: left}, {}], [{1: right}, {}]
-            assert_matches_dense(pair, wa, pair, wb, counted_arcs)
+            assert_matches_dense(pair, wa, pair, wb, forward_joins)
             assert generalized_product_graph(pair, wa, pair, wb).edges() == ([(0, 3)] if meets else [])
     # Meeting diagonal cells would give the arc x -> x: skipped, not a self-loop.
     diagonal = [{0: APPair(1, 1)}, {1: APPair(2, 2)}]
-    assert_matches_dense(pair, diagonal, pair, diagonal, counted_arcs)
+    assert_matches_dense(pair, diagonal, pair, diagonal, forward_joins)
     assert generalized_product_graph(pair, diagonal, pair, diagonal).edge_count == 0
     # Steps up to 12 and starts above them: residues modulo gcds above 4 occur.
     rng = random.Random(29)
@@ -359,7 +461,7 @@ def test_residue_join_edge_cases(counted_arcs):
         wa, wb = ([{t: APPair(rng.randint(0, 24), rng.randint(0, 12)) for t in range(n)
                     if rng.random() < 0.6} for _ in range(n)] for n in (na, nb))
         assert_matches_dense(SimpleGraph(map(str, range(na))), wa,
-                             SimpleGraph(map(str, range(nb))), wb, counted_arcs)
+                             SimpleGraph(map(str, range(nb))), wb, forward_joins)
         wide += sum(p.step and q.step and gcd(p.step, q.step) > 4 and p.start != q.start
                     and aps_intersect_positively(p, q)
                     for row1 in wa for p in row1.values() for row2 in wb for q in row2.values())
