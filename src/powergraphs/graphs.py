@@ -21,10 +21,17 @@ class TooLarge(ValueError):
     pass
 
 
-def _members(row: int, vertices: list[int]) -> Iterator[int]:
-    """vertices[i] for each set bit i of row, in order; row is below 2**len(vertices)."""
-    # Selecting from a list makes no int for the bits that are clear.
-    return compress(vertices, bin(row)[:1:-1].encode().translate(_DIGIT_BITS))
+def _bits(row: int) -> bytes:
+    """Byte i is 1 iff bit i of row is set: compress selects by it, in C."""
+    return bin(row)[:1:-1].encode().translate(_DIGIT_BITS)
+
+
+def _upper_masks(rows: list[int]) -> Iterator[tuple[int, bytes]]:
+    """(u, mask) for each row u with a bit above u: byte i of mask is 1 iff u ~ u + 1 + i,
+    so compress(items[u + 1:], mask) selects the items of u's neighbours above u."""
+    for u, row in enumerate(rows):
+        if above := row >> u + 1:
+            yield u, _bits(above)
 
 
 class SimpleGraph:
@@ -69,7 +76,7 @@ class SimpleGraph:
     def edges(self) -> list[tuple[int, int]]:
         """Unordered edges as sorted (u, v) pairs with u < v."""
         vertices = list(range(self.vertex_count))
-        return [(u, v) for u, row in enumerate(self._rows) for v in _members(row >> u + 1, vertices[u + 1:])]
+        return [(u, v) for u, mask in _upper_masks(self._rows) for v in compress(vertices[u + 1:], mask)]
 
     def degree_sequence(self) -> list[int]:
         return sorted(map(int.bit_count, self._rows))
@@ -103,7 +110,7 @@ def are_isomorphic(a: SimpleGraph, b: SimpleGraph) -> tuple[bool, list[int] | No
     if a.vertex_count != b.vertex_count or a.edge_count != b.edge_count:
         return False, None
     vertices = list(range(a.vertex_count))
-    adj_a, adj_b = ([list(_members(row, vertices)) for row in g._rows] for g in (a, b))
+    adj_a, adj_b = ([list(compress(vertices, _bits(row))) for row in g._rows] for g in (a, b))
     # The root refinement compares the degree histograms.
     perm = _search(adj_a, adj_b, b._rows, list(_refine(adj_a, [0] * a.vertex_count)),
                    [0] * b.vertex_count)
@@ -156,20 +163,27 @@ def export(g: SimpleGraph, fmt: str) -> str:
 
     dot lists isolated vertices and then edges; edgelist emits one
     "label_u,label_v" line per edge with the lines sorted; json holds the
-    label array and index pairs [i, j] with i < j, sorted.
+    label array and index pairs [i, j] with i < j, sorted.  A row's bits
+    select its text from one string per vertex: no edge becomes a pair.
     """
     if fmt == "json":
-        return json.dumps({"vertices": g.labels, "edges": g.edges()},
-                          separators=(",", ":"))
+        names = list(map(str, range(g.vertex_count)))
+        pairs = ",".join(f"[{u}," + f"],[{u},".join(compress(names[u + 1:], mask)) + "]"
+                         for u, mask in _upper_masks(g._rows))
+        return f'{{"vertices":{json.dumps(g.labels, separators=(",", ":"))},"edges":[{pairs}]}}'
     if fmt == "edgelist":
-        return "\n".join(sorted(f"{g.labels[u]},{g.labels[v]}" for u, v in g.edges()))
+        lines = []
+        for u, mask in _upper_masks(g._rows):
+            lines += map((g.labels[u] + ",").__add__, compress(g.labels[u + 1:], mask))
+        lines.sort()
+        return "\n".join(lines)
     if fmt == "dot":
+        quoted = [f'"{_dot_quote(label)}"' for label in g.labels]
         lines = ["graph {"]
-        for v in range(g.vertex_count):
-            if g.degree(v) == 0:
-                lines.append(f'  "{_dot_quote(g.labels[v])}";')
-        for u, v in g.edges():
-            lines.append(f'  "{_dot_quote(g.labels[u])}" -- "{_dot_quote(g.labels[v])}";')
+        lines += (f"  {q};" for q, row in zip(quoted, g._rows) if not row)
+        for u, mask in _upper_masks(g._rows):
+            head = f"  {quoted[u]} -- "
+            lines.append(head + f";\n{head}".join(compress(quoted[u + 1:], mask)) + ";")
         lines.append("}")
         return "\n".join(lines)
     raise ValueError(f"unknown format {fmt!r}; expected one of {', '.join(EXPORT_FORMATS)}")

@@ -103,8 +103,10 @@ def generalized_product_graph(a: SimpleGraph, wa: WeightTable,
     labels, nb = _product_labels(a, b), b.vertex_count
     forward = _forward_rows(wa, wb, nb)
     # x ~ y meets in the reverse orientation iff the forward cells from y to x
-    # meet, so the transposed tables give the reverse rows.
-    reverse = _forward_rows(_transposed(wa), _transposed(wb), nb)
+    # meet, so the transposed tables give the reverse rows: the forward rows
+    # again when both tables are symmetric, as classical weights are.
+    ta, tb = _transposed(wa), _transposed(wb)
+    reverse = forward if (ta, tb) == (wa, wb) else _forward_rows(ta, tb, nb)
     return SimpleGraph._of_rows(labels, [f | r for f, r in zip(forward, reverse)])
 
 

@@ -1,6 +1,7 @@
 """End-to-end command-line checks through main()."""
 
 import contextlib
+import hashlib
 import os
 import signal
 import subprocess
@@ -95,6 +96,23 @@ def test_product_generalized_matches_group_build(capsys):
     code, build_out, _ = run(capsys, "build", "C2xC3")
     assert code == 0
     assert gen_out == build_out
+
+
+# sha256 of the stdout of `product generalized Q8 C125 --format FMT`, as the
+# tuple-based export printed it: the export oracle in test_graphs.py and
+# export itself could drift together, these digests cannot.
+Q8_C125_DIGESTS = {
+    "json": "6555b9bc8ae4137e866ee7578275d797328f759134f34299a03cd9b209c75f0e",
+    "edgelist": "6de71b77948a72a584ff6cbe24907413a93707a37fdb37b6061948293ffcb610",
+    "dot": "454c281d3a9d1887a06926b9a8ec4e4dbe350d05fb840223f225cdd033875ad8",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(Q8_C125_DIGESTS))
+def test_product_generalized_output_is_pinned(capsys, fmt):
+    code, out, _ = run(capsys, "product", "generalized", "Q8", "C125", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == Q8_C125_DIGESTS[fmt]
 
 
 def test_verify_theorem_pass(capsys):

@@ -13,11 +13,13 @@ from powergraphs import (
     are_isomorphic,
     cyclic,
     export,
+    generalized_product_graph,
     graph_from_json,
     graphs_equal_labeled,
     has_universal_vertex,
     parse_group_spec,
     power_graph,
+    power_graph_bundle,
 )
 
 
@@ -396,6 +398,72 @@ def test_export_dot_quotes_labels():
 def test_export_unknown_format():
     with pytest.raises(ValueError, match="unknown format"):
         export(SimpleGraph([]), "yaml")
+
+
+def oracle_edges(g):
+    """Edges (u, v), u < v, in order, read one bit at a time."""
+    n = g.vertex_count
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if g._rows[u] >> v & 1]
+
+
+def oracle_export(g, fmt):
+    """Oracle: the export formats built from a list of edge pairs."""
+    edges = oracle_edges(g)
+    if fmt == "json":
+        return json.dumps({"vertices": g.labels, "edges": edges}, separators=(",", ":"))
+    if fmt == "edgelist":
+        return "\n".join(sorted(f"{g.labels[u]},{g.labels[v]}" for u, v in edges))
+
+    def quote(label):
+        return label.replace("\\", "\\\\").replace('"', '\\"')
+
+    lines = ["graph {"]
+    lines += [f'  "{quote(g.labels[v])}";' for v in range(g.vertex_count) if g.degree(v) == 0]
+    lines += [f'  "{quote(g.labels[u])}" -- "{quote(g.labels[v])}";' for u, v in edges]
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def assert_export_matches_oracle(g):
+    assert g.edges() == oracle_edges(g)
+    for fmt in ("json", "edgelist", "dot"):
+        got, want = export(g, fmt), oracle_export(g, fmt)
+        if got != want:
+            # The first difference, rather than a diff of megabytes of text.
+            at = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y), min(len(got), len(want)))
+            pytest.fail(f"{fmt} differs at {at}: {got[at - 20:at + 20]!r} vs {want[at - 20:at + 20]!r}")
+
+
+def test_export_matches_oracle_on_small_graphs():
+    for n in range(6):
+        assert_export_matches_oracle(SimpleGraph(labels(n)))
+        assert_export_matches_oracle(complete(n))
+    assert_export_matches_oracle(star(7))
+    assert_export_matches_oracle(cycle(9))
+
+
+def test_export_matches_oracle_on_random_graphs():
+    rng = random.Random(41)
+    for density in (0, 0.1, 0.5, 1):
+        for _ in range(25):
+            assert_export_matches_oracle(random_gnp(rng, rng.randint(0, 40), density))
+
+
+def test_export_matches_oracle_on_awkward_labels():
+    odd = ['say "hi"', "back\\slash", "a,b", "two words", "line\nbreak", "", "\u00e9t\u00e9",
+           "\u2205", "\U0001f600", '\\"', ",", " "]
+    rng = random.Random(43)
+    for density in (0, 0.1, 0.5, 1):
+        for _ in range(10):
+            n = rng.randint(0, len(odd))
+            g = random_gnp(rng, n, density)
+            assert_export_matches_oracle(SimpleGraph(rng.sample(odd, n), g.edges()))
+
+
+@pytest.mark.parametrize("left, right", [("S4", "D21"), ("C20", "C60"), ("Q8", "C125")])
+def test_export_matches_oracle_on_power_graph_products(left, right):
+    b1, b2 = (power_graph_bundle(parse_group_spec(spec)) for spec in (left, right))
+    assert_export_matches_oracle(generalized_product_graph(b1.graph, b1.weights, b2.graph, b2.weights))
 
 
 def test_json_round_trip():

@@ -397,17 +397,38 @@ def assert_matches_dense(a, wa, b, wb, joins):
     joins.clear()
     got = generalized_product_graph(a, wa, b, wb)
     assert got.edges() == dense_generalized_product(a, wa, b, wb).edges()
-    # One join over the tables and one over their transposes, for the reverse orientation.
-    (wa1, wb1, _), (wa2, wb2, _) = joins
+    # One join over the tables and one over their transposes, for the reverse
+    # orientation; when both tables are symmetric the second join would
+    # repeat the first, so there is one.
+    (wa1, wb1, _), *reverse = joins
     assert (wa1, wb1) == (wa, wb)
-    assert cells(wa2) == {(h, g): cell for (g, h), cell in cells(wa).items()}
-    assert cells(wb2) == {(h, g): cell for (g, h), cell in cells(wb).items()}
+    transposed_a, transposed_b = ({(h, g): cell for (g, h), cell in cells(w).items()} for w in (wa, wb))
+    if transposed_a == cells(wa) and transposed_b == cells(wb):
+        assert reverse == []
+    else:
+        (wa2, wb2, _), = reverse
+        assert (cells(wa2), cells(wb2)) == (transposed_a, transposed_b)
     # Each join's row x holds exactly the arcs x -> y that meet, so every
     # meeting arc is set once and no other.
     for wx, wy, rows in joins:
         arcs = dense_meeting_arcs(wx, wy)
         assert [{y for y in range(len(rows)) if row >> y & 1} for row in rows] == arcs
         assert sum(map(int.bit_count, rows)) == sum(map(len, arcs))
+
+
+def test_symmetric_tables_take_one_join(forward_joins):
+    """Classical weight tables are symmetric, so their reverse rows are the
+    forward rows and one join builds the product; one asymmetric table
+    brings the reverse join back."""
+    rng = random.Random(31)
+    for _ in range(40):
+        a, b = random_gnp(rng, rng.randint(1, 6)), random_gnp(rng, rng.randint(1, 6))
+        for kind in CLASSICAL_KINDS:
+            _, left, right = classical_product(kind)
+            assert_matches_dense(a, classical_weights(left, a), b, classical_weights(right, b), forward_joins)
+            assert len(forward_joins) == 1
+    assert_matches_dense(k2(), classical_weights("normal", k2()), k2(), [{1: APPair(1, 1)}, {}], forward_joins)
+    assert len(forward_joins) == 2
 
 
 def random_weights(rng, n):
