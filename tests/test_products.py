@@ -4,6 +4,7 @@ import itertools
 import random
 import tracemalloc
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,6 +26,7 @@ from powergraphs import (
     normal_product_graph,
     power_graph,
     power_graph_bundle,
+    quaternion8,
 )
 from powergraphs.cli import main
 from powergraphs.products import CLASSICAL_KINDS, classical_product
@@ -195,6 +197,21 @@ def test_classical_products_at_the_size_cap_fit_in_memory():
     del normal
     assert direct_product_graph(p, p).edge_count == 39_249_800 == 2 * 4430 ** 2
     assert cartesian_product_graph(p, p).edge_count == 886_000 == 2 * 100 * 4430
+
+
+def test_power_product_keeps_no_int_per_weight_cell():
+    # P(Q8) x P(C625): 5000 vertices and 6,963,648 edges.  The two-join
+    # product peaked at 19.0 MiB; keeping one 1 << target int per right
+    # cell took 45.4 MiB.
+    a, b = power_graph_bundle(quaternion8()), power_graph_bundle(cyclic(625))
+    tracemalloc.start()
+    try:
+        product = generalized_product_graph(a.graph, a.weights, b.graph, b.weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (product.vertex_count, product.edge_count) == (5000, 6_963_648)
+    assert peak < 24 * 2**20, peak
 
 
 def test_weight_table_values():
@@ -372,63 +389,93 @@ def cells(w):
     return {(g, h): cell for g, row in enumerate(w) for h, cell in row.items()}
 
 
+def brute_transpose(rows):
+    """Oracle: bit x of row y is bit y of rows[x], one bit at a time."""
+    return [sum((rows[x] >> y & 1) << x for x in range(len(rows))) for y in range(len(rows))]
+
+
+def symmetric(w):
+    return {(h, g): cell for (g, h), cell in cells(w).items()} == cells(w)
+
+
 @pytest.fixture
-def forward_joins(monkeypatch):
+def product_calls(monkeypatch):
     """Records the tables and rows of each forward join the products module
-    runs, and fails on any intersection test of two positive-step cells: the
-    residue join decides those without one."""
-    joins = []
-    join = powergraphs.products._forward_rows
+    runs, and the rows and result of each transpose, and fails on any
+    intersection test of two positive-step cells: the residue join decides
+    those without one."""
+    calls = SimpleNamespace(joins=[], transposes=[])
+    join, transpose = powergraphs.products._forward_rows, powergraphs.products._transpose
 
     def zero_step_only(p, q):
         assert p.step == 0 or q.step == 0, f"tested positive steps {p} and {q}"
         return aps_intersect_positively(p, q)
 
-    def recorded(wa, wb, nb):
+    def recorded_join(wa, wb, nb):
         rows = join(wa, wb, nb)
-        joins.append((wa, wb, rows))
+        calls.joins.append((wa, wb, rows))
         return rows
+
+    def recorded_transpose(rows):
+        out = transpose(rows)
+        calls.transposes.append((rows, out))
+        return out
     monkeypatch.setattr("powergraphs.products.aps_intersect_positively", zero_step_only)
-    monkeypatch.setattr("powergraphs.products._forward_rows", recorded)
-    return joins
+    monkeypatch.setattr("powergraphs.products._forward_rows", recorded_join)
+    monkeypatch.setattr("powergraphs.products._transpose", recorded_transpose)
+    return calls
 
 
-def assert_matches_dense(a, wa, b, wb, joins):
-    joins.clear()
+def assert_matches_dense(a, wa, b, wb, calls):
+    calls.joins.clear()
+    calls.transposes.clear()
     got = generalized_product_graph(a, wa, b, wb)
     assert got.edges() == dense_generalized_product(a, wa, b, wb).edges()
-    # One join over the tables and one over their transposes, for the reverse
-    # orientation; when both tables are symmetric the second join would
-    # repeat the first, so there is one.
-    (wa1, wb1, _), *reverse = joins
+    # One join over the tables. The reverse rows are the transpose of its
+    # rows; when both tables are symmetric that is the rows themselves, and
+    # no transpose is taken.
+    (wa1, wb1, forward), = calls.joins
     assert (wa1, wb1) == (wa, wb)
-    transposed_a, transposed_b = ({(h, g): cell for (g, h), cell in cells(w).items()} for w in (wa, wb))
-    if transposed_a == cells(wa) and transposed_b == cells(wb):
-        assert reverse == []
+    reverse = brute_transpose(forward)
+    if symmetric(wa) and symmetric(wb):
+        assert calls.transposes == []
+        assert reverse == forward
     else:
-        (wa2, wb2, _), = reverse
-        assert (cells(wa2), cells(wb2)) == (transposed_a, transposed_b)
-    # Each join's row x holds exactly the arcs x -> y that meet, so every
+        (rows, out), = calls.transposes
+        assert rows is forward
+        assert out == reverse
+    assert got._rows == [f | r for f, r in zip(forward, reverse)]
+    # The join's row x holds exactly the arcs x -> y that meet, so every
     # meeting arc is set once and no other.
-    for wx, wy, rows in joins:
-        arcs = dense_meeting_arcs(wx, wy)
-        assert [{y for y in range(len(rows)) if row >> y & 1} for row in rows] == arcs
-        assert sum(map(int.bit_count, rows)) == sum(map(len, arcs))
+    arcs = dense_meeting_arcs(wa, wb)
+    assert [{y for y in range(len(forward)) if row >> y & 1} for row in forward] == arcs
+    assert sum(map(int.bit_count, forward)) == sum(map(len, arcs))
 
 
-def test_symmetric_tables_take_one_join(forward_joins):
+def test_symmetric_tables_take_one_join(product_calls):
     """Classical weight tables are symmetric, so their reverse rows are the
-    forward rows and one join builds the product; one asymmetric table
-    brings the reverse join back."""
+    forward rows: one join and no transpose build the product.  One
+    asymmetric table brings the transpose in, still after one join."""
     rng = random.Random(31)
     for _ in range(40):
         a, b = random_gnp(rng, rng.randint(1, 6)), random_gnp(rng, rng.randint(1, 6))
         for kind in CLASSICAL_KINDS:
             _, left, right = classical_product(kind)
-            assert_matches_dense(a, classical_weights(left, a), b, classical_weights(right, b), forward_joins)
-            assert len(forward_joins) == 1
-    assert_matches_dense(k2(), classical_weights("normal", k2()), k2(), [{1: APPair(1, 1)}, {}], forward_joins)
-    assert len(forward_joins) == 2
+            assert_matches_dense(a, classical_weights(left, a), b, classical_weights(right, b), product_calls)
+            assert (len(product_calls.joins), len(product_calls.transposes)) == (1, 0)
+    assert_matches_dense(k2(), classical_weights("normal", k2()), k2(), [{1: APPair(1, 1)}, {}], product_calls)
+    assert (len(product_calls.joins), len(product_calls.transposes)) == (1, 1)
+
+
+def test_transpose_matches_brute_force():
+    """Every padding residue mod 8, and rows wider than one 64-bit word run."""
+    rng = random.Random(37)
+    for n in [*range(71), 1000, 1001]:
+        single = [0] * n
+        if n:
+            single[rng.randrange(n)] = 1 << rng.randrange(n)
+        for rows in ([rng.getrandbits(n) for _ in range(n)], [0] * n, [(1 << n) - 1] * n, single):
+            assert powergraphs.products._transpose(rows) == brute_transpose(rows), n
 
 
 def random_weights(rng, n):
@@ -438,27 +485,27 @@ def random_weights(rng, n):
              for b in range(n) if rng.random() < 0.5} for _ in range(n)]
 
 
-def test_sparse_product_matches_dense_scan_on_random_tables(forward_joins):
+def test_sparse_product_matches_dense_scan_on_random_tables(product_calls):
     rng = random.Random(17)
     for _ in range(600):
         na, nb = rng.randint(1, 6), rng.randint(1, 6)
         a = SimpleGraph([str(v) for v in range(na)])
         b = SimpleGraph([str(v) for v in range(nb)])
-        assert_matches_dense(a, random_weights(rng, na), b, random_weights(rng, nb), forward_joins)
+        assert_matches_dense(a, random_weights(rng, na), b, random_weights(rng, nb), product_calls)
 
 
-def test_sparse_product_matches_dense_scan_on_power_weights(forward_joins):
+def test_sparse_product_matches_dense_scan_on_power_weights(product_calls):
     bundles = [power_graph_bundle(g) for g in family_groups(36)]
     checked = 0
     for b1 in bundles:
         for b2 in bundles:
             if b1.group.order * b2.group.order <= 36:
-                assert_matches_dense(b1.graph, b1.weights, b2.graph, b2.weights, forward_joins)
+                assert_matches_dense(b1.graph, b1.weights, b2.graph, b2.weights, product_calls)
                 checked += 1
     assert checked > 100
 
 
-def test_residue_join_edge_cases(forward_joins):
+def test_residue_join_edge_cases(product_calls):
     pair = SimpleGraph(["0", "1"])
     # One arc (0,0) -> (1,1), that is 0 -> 3, per case, in both orientations.
     for p, q, meets in ((APPair(0, 3), APPair(3, 3), True),  # start 0 with a positive step
@@ -468,11 +515,11 @@ def test_residue_join_edge_cases(forward_joins):
                         (APPair(7, 4), APPair(11, 0), True)):
         for left, right in ((p, q), (q, p)):
             wa, wb = [{1: left}, {}], [{1: right}, {}]
-            assert_matches_dense(pair, wa, pair, wb, forward_joins)
+            assert_matches_dense(pair, wa, pair, wb, product_calls)
             assert generalized_product_graph(pair, wa, pair, wb).edges() == ([(0, 3)] if meets else [])
     # Meeting diagonal cells would give the arc x -> x: skipped, not a self-loop.
     diagonal = [{0: APPair(1, 1)}, {1: APPair(2, 2)}]
-    assert_matches_dense(pair, diagonal, pair, diagonal, forward_joins)
+    assert_matches_dense(pair, diagonal, pair, diagonal, product_calls)
     assert generalized_product_graph(pair, diagonal, pair, diagonal).edge_count == 0
     # Steps up to 12 and starts above them: residues modulo gcds above 4 occur.
     rng = random.Random(29)
@@ -482,7 +529,7 @@ def test_residue_join_edge_cases(forward_joins):
         wa, wb = ([{t: APPair(rng.randint(0, 24), rng.randint(0, 12)) for t in range(n)
                     if rng.random() < 0.6} for _ in range(n)] for n in (na, nb))
         assert_matches_dense(SimpleGraph(map(str, range(na))), wa,
-                             SimpleGraph(map(str, range(nb))), wb, forward_joins)
+                             SimpleGraph(map(str, range(nb))), wb, product_calls)
         wide += sum(p.step and q.step and gcd(p.step, q.step) > 4 and p.start != q.start
                     and aps_intersect_positively(p, q)
                     for row1 in wa for p in row1.values() for row2 in wb for q in row2.values())
