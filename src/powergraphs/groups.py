@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import operator
 from pathlib import Path
 
 DEFAULT_ORDER_CAP = 10000
@@ -90,9 +91,9 @@ class FiniteGroup:
         return out
 
     def is_abelian(self) -> bool:
+        # Each row against its column; zip builds one column tuple at a time.
         t = self.table
-        n = self.order
-        return all(t[i][j] == t[j][i] for i in range(n) for j in range(i + 1, n))
+        return all(map(operator.eq, map(tuple, t), zip(*t)))
 
 
 def group_from_cayley_table(table, name: str = "G") -> FiniteGroup:
@@ -131,9 +132,11 @@ def group_from_cayley_table(table, name: str = "G") -> FiniteGroup:
     # identity and are closed under the product, so they include every element
     # reached from the identity by right multiplication with generators: all of them.
     for g in _generators(rows, group.identity):
-        tg = rows[g]
+        # times_g(ti) lists i*(g*v) over v.  An order-1 table has no
+        # generators, so rows[g] holds at least two indices and it is a tuple.
+        times_g = operator.itemgetter(*rows[g])
         for ti in rows:
-            if rows[ti[g]] != [ti[v] for v in tg]:
+            if list(times_g(ti)) != rows[ti[g]]:
                 _raise_first_violation(rows)
     return group
 
@@ -295,6 +298,10 @@ def load_cayley_table(path: str | Path) -> FiniteGroup:
     if len(lines) - 1 != n:
         raise ValueError(f"{path}: expected {n} table rows, got {len(lines) - 1}")
 
+    # Each entry spelt as a plain index maps to one of n shared ints, as in
+    # the built-in groups; a row with any other spelling is read token by token.
+    index = {str(i): i for i in range(n)}
+
     # Rows are parsed while the validator copies them, so the table is held once.
     def rows():
         for lineno, text in lines[1:]:
@@ -302,14 +309,17 @@ def load_cayley_table(path: str | Path) -> FiniteGroup:
             if len(tokens) != n:
                 raise ValueError(f"{path}:{lineno}: expected {n} entries, got {len(tokens)}")
             try:
-                # Joined ASCII tokens without '_' are a sign and digits to
-                # int(), whatever Unicode whitespace separated them.
-                if "_" in text or not "".join(tokens).isascii():
-                    raise ValueError
-                row = list(map(int, tokens))
-            except ValueError:
-                bad = next(tok for tok in tokens if not _is_decimal(tok))
-                raise ValueError(f"{path}:{lineno}: invalid entry {bad!r}") from None
+                row = list(map(index.__getitem__, tokens))
+            except KeyError:
+                try:
+                    # Joined ASCII tokens without '_' are a sign and digits to
+                    # int(), whatever Unicode whitespace separated them.
+                    if "_" in text or not "".join(tokens).isascii():
+                        raise ValueError
+                    row = list(map(int, tokens))
+                except ValueError:
+                    bad = next(tok for tok in tokens if not _is_decimal(tok))
+                    raise ValueError(f"{path}:{lineno}: invalid entry {bad!r}") from None
             yield row
 
     return group_from_cayley_table(rows(), name=path.stem)

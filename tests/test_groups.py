@@ -696,6 +696,55 @@ def test_load_rejects_non_integer_entry(tmp_path):
         assert str(info.value) == f"{path}{message}"
 
 
+def write_table(path, table, spell=str, sep=" "):
+    path.write_text(f"{len(table)}\n" + "".join(sep.join(map(spell, row)) + "\n" for row in table),
+                    encoding="utf-8")
+
+
+def test_load_reads_any_spelling_of_an_entry_as_its_index(tmp_path):
+    # Rows with a sign, leading zeros or '-0' take the per-token path; every
+    # spelling loads to the table its canonical spelling loads to.
+    table = relabelled(direct_product(cyclic(3), dihedral(3)), random.Random(3))
+    canonical, respelt = tmp_path / "canonical.tbl", tmp_path / "respelt.tbl"
+    write_table(canonical, table)
+    write_table(respelt, table, lambda v: "-0" if v == 0 else f"+{v}" if v % 2 else f"0{v}",
+                "\u00a0")
+    assert "-0" in respelt.read_text(encoding="utf-8")
+    assert load_cayley_table(respelt).table == load_cayley_table(canonical).table == table
+    # One re-spelt row among canonical ones.
+    lines = canonical.read_text().split("\n")
+    lines[5] = " ".join(f"+{tok}" for tok in lines[5].split())
+    respelt.write_text("\n".join(lines))
+    assert load_cayley_table(respelt).table == table
+    # An entry outside 0..n-1, however spelt, is named by the closure check.
+    for entry, value in (("2", 2), ("+2", 2), ("02", 2), ("-1", -1)):
+        respelt.write_text(f"2\n0 1\n{entry} 0\n")
+        with pytest.raises(NotClosed) as info:
+            load_cayley_table(respelt)
+        assert str(info.value) == f"entry {value} at row 1, column 0 is not an index in 0..1"
+
+
+def test_load_shares_one_int_per_index(tmp_path):
+    path = tmp_path / "c300.tbl"
+    write_table(path, relabelled(cyclic(300), random.Random(300)))
+    g = load_cayley_table(path)
+    assert len({id(v) for row in g.table for v in row}) == 300
+
+
+def test_load_of_order_1000_stays_small(tmp_path):
+    path = tmp_path / "c1000.tbl"
+    write_table(path, relabelled(cyclic(1000), random.Random(1000)))
+    tracemalloc.start()
+    try:
+        g = load_cayley_table(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.order == 1000
+    # 1 M cells: about 11.9 MiB with shared ints; a new int per cell took 31.6 MiB.
+    assert peak < 20 * 2**20, peak
+
+
 def test_load_validates_axioms(tmp_path):
     path = tmp_path / "loop.tbl"
     rows = "\n".join(" ".join(str(v) for v in row) for row in NONASSOCIATIVE)

@@ -294,6 +294,23 @@ def dicyclic(n):
     return [[index[mul(*x, *y)] for y in elements] for x in elements]
 
 
+def test_is_abelian_agrees_with_the_pairwise_check():
+    rng = random.Random(0)
+    groups = family_groups() + [group_from_cayley_table(dicyclic(3), "Dic3"),
+                                group_from_cayley_table(dicyclic(4), "Q16")]
+    for g in (groups[-1], direct_product(cyclic(3), cyclic(4))):
+        perm = rng.sample(range(g.order), g.order)
+        table = [[0] * g.order for _ in range(g.order)]
+        for i, row in enumerate(g.table):
+            for j, v in enumerate(row):
+                table[perm[i]][perm[j]] = perm[v]
+        groups.append(group_from_cayley_table(table, f"relabelled {g.name}"))
+    verdicts = {g.name: g.is_abelian() for g in groups}
+    assert verdicts == {g.name: all(row[j] == g.table[j][i] for i, row in enumerate(g.table)
+                                    for j in range(g.order)) for g in groups}
+    assert set(verdicts.values()) == {True, False}
+
+
 def universal_vertices(g):
     """Elements u such that every x is a power of u or u a power of x."""
     powers = [set(g.powers(a)) for a in range(g.order)]
