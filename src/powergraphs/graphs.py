@@ -70,9 +70,6 @@ class SimpleGraph:
     def __repr__(self) -> str:
         return f"SimpleGraph({self.vertex_count} vertices, {self.edge_count} edges)"
 
-    def degree(self, u: int) -> int:
-        return self._rows[u].bit_count()
-
     def edges(self) -> list[tuple[int, int]]:
         """Unordered edges as sorted (u, v) pairs with u < v."""
         vertices = list(range(self.vertex_count))

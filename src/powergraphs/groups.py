@@ -274,55 +274,51 @@ def load_cayley_table(path: str | Path) -> FiniteGroup:
 
     Format: first line is n, then n lines of n whitespace-separated 0-based
     indices with row i column j holding i*j.  Lines starting with '#' are
-    ignored.
+    ignored.  The file is read once, a line at a time, so a pipe works too.
     """
     path = Path(path)
-    lines = []
-    # utf-8-sig also drops one leading byte-order mark.  read_text turns \r\n
-    # and \r into \n; splitlines() would also end lines at \x0c or U+2028.
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8-sig").split("\n"), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        lines.append((lineno, stripped))
-    if not lines:
-        raise ValueError(f"{path}: no data lines")
-    header_line, header = lines[0]
-    if not _is_decimal(header):
-        raise ValueError(f"{path}:{header_line}: expected group order, got {header!r}")
-    n = int(header)
-    if n < 1:
-        raise InvalidOrder(f"{path}:{header_line}: order must be >= 1, got {n}")
-    if n > DEFAULT_ORDER_CAP:
-        raise OrderOverflow(f"{path}:{header_line}: order {n} exceeds cap {DEFAULT_ORDER_CAP}")
-    if len(lines) - 1 != n:
-        raise ValueError(f"{path}: expected {n} table rows, got {len(lines) - 1}")
+    # utf-8-sig also drops one leading byte-order mark.  Text mode ends lines
+    # at \n, \r\n and \r only; splitlines() would also end them at \x0c or U+2028.
+    with path.open(encoding="utf-8-sig") as file:
+        data = ((lineno, text) for lineno, line in enumerate(file, start=1)
+                if (text := line.strip()) and not text.startswith("#"))
+        header_line, header = next(data, (0, None))
+        if header is None:
+            raise ValueError(f"{path}: no data lines")
+        if not _is_decimal(header):
+            raise ValueError(f"{path}:{header_line}: expected group order, got {header!r}")
+        n = int(header)
+        if n < 1:
+            raise InvalidOrder(f"{path}:{header_line}: order must be >= 1, got {n}")
+        if n > DEFAULT_ORDER_CAP:
+            raise OrderOverflow(f"{path}:{header_line}: order {n} exceeds cap {DEFAULT_ORDER_CAP}")
 
-    # Each entry spelt as a plain index maps to one of n shared ints, as in
-    # the built-in groups; a row with any other spelling is read token by token.
-    index = {str(i): i for i in range(n)}
+        # Each entry spelt as a plain index maps to one of n shared ints, as in
+        # the built-in groups; a row with any other spelling names its first token
+        # that is not a decimal integer, or else is read with int().
+        index = {str(i): i for i in range(n)}
 
-    # Rows are parsed while the validator copies them, so the table is held once.
-    def rows():
-        for lineno, text in lines[1:]:
-            tokens = text.split()
-            if len(tokens) != n:
-                raise ValueError(f"{path}:{lineno}: expected {n} entries, got {len(tokens)}")
-            try:
-                row = list(map(index.__getitem__, tokens))
-            except KeyError:
+        # Each of the first n rows is parsed as its line is read and goes
+        # straight into the validator's copy; any further lines are only counted.
+        def rows():
+            count = 0
+            for count, (lineno, text) in enumerate(itertools.islice(data, n), start=1):
+                tokens = text.split()
+                if len(tokens) != n:
+                    raise ValueError(f"{path}:{lineno}: expected {n} entries, got {len(tokens)}")
                 try:
-                    # Joined ASCII tokens without '_' are a sign and digits to
-                    # int(), whatever Unicode whitespace separated them.
-                    if "_" in text or not "".join(tokens).isascii():
-                        raise ValueError
+                    row = list(map(index.__getitem__, tokens))
+                except KeyError:
+                    bad = next((tok for tok in tokens if not _is_decimal(tok)), None)
+                    if bad is not None:
+                        raise ValueError(f"{path}:{lineno}: invalid entry {bad!r}") from None
                     row = list(map(int, tokens))
-                except ValueError:
-                    bad = next(tok for tok in tokens if not _is_decimal(tok))
-                    raise ValueError(f"{path}:{lineno}: invalid entry {bad!r}") from None
-            yield row
+                yield row
+            count += sum(1 for _ in data)
+            if count != n:
+                raise ValueError(f"{path}: expected {n} table rows, got {count}")
 
-    return group_from_cayley_table(rows(), name=path.stem)
+        return group_from_cayley_table(rows(), name=path.stem)
 
 
 def _is_decimal(token: str) -> bool:

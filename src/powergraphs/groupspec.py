@@ -7,6 +7,7 @@ atom, so paths containing "x" right before an atom-shaped tail cannot be
 used inside product expressions.
 """
 
+import re
 from collections.abc import Callable
 from functools import reduce
 
@@ -21,6 +22,11 @@ from .groups import (
     quaternion8,
     symmetric,
 )
+
+
+# An 'x' that starts another atom ends a "cayley:" path; digits are ASCII only.
+_PATH_END = re.compile(r"x(?=[CDS]|Q8|cayley:)")
+_DIGITS = re.compile(r"[0-9]*")
 
 
 class ParseError(ValueError):
@@ -58,10 +64,9 @@ def _tokenize(text: str) -> list[tuple[Callable[..., FiniteGroup], tuple, int]]:
     while True:
         start = pos
         if text.startswith("cayley:", pos):
-            pos += len("cayley:")
-            path_start = pos
-            while pos < len(text) and not (text[pos] == "x" and _starts_atom(text, pos + 1)):
-                pos += 1
+            path_start = pos + len("cayley:")
+            end = _PATH_END.search(text, path_start)
+            pos = end.start() if end else len(text)
             path = text[path_start:pos]
             if not path:
                 raise ParseError("missing path after 'cayley:'", path_start)
@@ -71,10 +76,8 @@ def _tokenize(text: str) -> list[tuple[Callable[..., FiniteGroup], tuple, int]]:
             pos += 2
         elif pos < len(text) and text[pos] in "CDS":
             letter = text[pos]
-            pos += 1
-            digits_start = pos
-            while pos < len(text) and text[pos] in "0123456789":
-                pos += 1
+            digits_start = pos + 1
+            pos = _DIGITS.match(text, digits_start).end()
             if pos == digits_start:
                 raise ParseError(f"expected a number after '{letter}'", digits_start)
             try:
@@ -91,9 +94,3 @@ def _tokenize(text: str) -> list[tuple[Callable[..., FiniteGroup], tuple, int]]:
         pos += 1
         if pos == len(text):
             raise ParseError("dangling 'x' at end of spec", pos)
-
-
-def _starts_atom(text: str, pos: int) -> bool:
-    if pos >= len(text):
-        return False
-    return text[pos] in "CDS" or text.startswith("Q8", pos) or text.startswith("cayley:", pos)

@@ -286,6 +286,23 @@ def test_stats_nonabelian(capsys):
     assert "has universal vertex: yes" in out
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin on this platform")
+def test_stats_reads_a_cayley_table_from_a_pipe(tmp_path):
+    # The table file is read once, so a pipe, which cannot be read twice, loads too.
+    table = dihedral(3).table
+    text = f"# D3\n{len(table)}\n" + "".join(" ".join(map(str, row)) + "\n" for row in table)
+    path = tmp_path / "d3.tbl"
+    path.write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(Path(powergraphs.__file__).parents[1]))
+    outputs = [subprocess.run([sys.executable, "-m", "powergraphs.cli", "stats", f"cayley:{source}"],
+                              input=text.encode(), capture_output=True, env=env, check=True).stdout
+               for source in (path, "/dev/stdin")]
+    from_file, from_pipe = (out.decode().splitlines() for out in outputs)
+    assert from_file[0] == "group: d3" and from_pipe[0] == "group: stdin"
+    assert from_pipe[1:] == from_file[1:]
+    assert "abelian: no" in from_file
+
+
 @pytest.mark.parametrize("argv, message", [
     (["build", "C10001"], "error: cyclic group order 10001 exceeds cap 10000 (position 0)"),
     (["build", "C2xD5001"], "error: dihedral group order 10002 exceeds cap 10000 (position 3)"),

@@ -660,6 +660,10 @@ def test_load_rejects_order_above_cap_before_rows(tmp_path):
     path.write_text("10001\n0\n")
     with pytest.raises(OrderOverflow, match=r"huge\.tbl:1: order 10001 exceeds cap 10000"):
         load_cayley_table(path)
+    # The byte 0xFF is not UTF-8, but the header is refused before it is read.
+    path.write_bytes(b"10001\n" + (b"#" * 79 + b"\n") * 1000 + b"\xff\n")
+    with pytest.raises(OrderOverflow, match=r"huge\.tbl:1: order 10001 exceeds cap 10000"):
+        load_cayley_table(path)
 
 
 def test_load_rejects_row_count(tmp_path):
@@ -667,6 +671,11 @@ def test_load_rejects_row_count(tmp_path):
     path.write_text("2\n0 1\n")
     with pytest.raises(ValueError, match="expected 2 table rows"):
         load_cayley_table(path)
+    # Lines past the n-th are only counted, not parsed.
+    path.write_text("2\n0 1\n1 0\nx\n# note\n1 0 y\n")
+    with pytest.raises(ValueError) as info:
+        load_cayley_table(path)
+    assert str(info.value) == f"{path}: expected 2 table rows, got 4"
 
 
 def test_load_rejects_entry_count(tmp_path):
@@ -689,7 +698,9 @@ def test_load_rejects_non_integer_entry(tmp_path):
                           # A form-feed line still counts as a line.
                           ("2\n0 1\n\x0c\n1 x\n", ":4: invalid entry 'x'"),
                           # int() refuses more digits than sys.get_int_max_str_digits().
-                          (f"2\n0 {'0' * 5000}1\n1 0\n", f":2: invalid entry '{'0' * 5000}1'")):
+                          (f"2\n0 {'0' * 5000}1\n1 0\n", f":2: invalid entry '{'0' * 5000}1'"),
+                          # The first defect in reading order is named, before the short row count.
+                          ("3\n0 1 2\n1 x 0\n", ":3: invalid entry 'x'")):
         path.write_text(text)
         with pytest.raises(ValueError) as info:
             load_cayley_table(path)
@@ -737,12 +748,16 @@ def test_load_of_order_1000_stays_small(tmp_path):
     tracemalloc.start()
     try:
         g = load_cayley_table(path)
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert g.order == 1000
-    # 1 M cells: about 11.9 MiB with shared ints; a new int per cell took 31.6 MiB.
+    # 1 M cells: about 8.0 MiB with shared ints; a new int per cell took 31.6 MiB.
     assert peak < 20 * 2**20, peak
+    # The file is read a line at a time, so no line's text outlives its row:
+    # the peak is about 8.0 MiB for 7.8 MiB held, where holding every line's
+    # text until the table was validated peaked at 11.9 MiB.
+    assert peak <= 1.1 * held, (peak, held)
 
 
 def test_load_validates_axioms(tmp_path):

@@ -154,7 +154,7 @@ def test_identity_is_universal():
     for g in family_groups(36):
         if g.order >= 2:
             graph = power_graph(g)
-            assert graph.degree(g.identity) == g.order - 1
+            assert sum(g.identity in edge for edge in graph.edges()) == g.order - 1
             assert has_universal_vertex(graph)
 
 
