@@ -3,7 +3,9 @@
 import functools
 import itertools
 import operator
+from math import gcd
 from pathlib import Path
+from typing import NamedTuple
 
 DEFAULT_ORDER_CAP = 10000
 
@@ -36,12 +38,25 @@ class OrderOverflow(ValueError):
     pass
 
 
+class CyclicSubgroups(NamedTuple):
+    """The cyclic subgroups of a group, one walk each.
+
+    walks[s] is [c, c^2, ..., c^o] for the chosen generator c of subgroup s,
+    the first of its generators in index order, with o = len(walks[s]).
+    Element x generates subgroup[x] and is c^exponent[x], an exponent prime to o.
+    """
+
+    walks: list[list[int]]
+    subgroup: list[int]
+    exponent: list[int]
+
+
 class FiniteGroup:
     """Finite group with elements 0..n-1 and a full multiplication table.
 
-    The identity is auto-detected from the table at construction; element
-    orders are computed on first use and then cached.  Instances are
-    otherwise never mutated and are safe to share.  The constructor trusts
+    The identity is auto-detected from the table at construction; the
+    cyclic subgroups and element orders are computed on first use and then
+    cached.  Instances are otherwise never mutated and are safe to share.  The constructor trusts
     its input and keeps the table it is given, without copying it, so
     callers must not change that table afterwards; use
     group_from_cayley_table to validate (and copy) an untrusted table.
@@ -73,8 +88,26 @@ class FiniteGroup:
         raise NoIdentity(f"no identity element in table of order {n}")
 
     @functools.cached_property
+    def cyclic_subgroups(self) -> CyclicSubgroups:
+        """One walk per cyclic subgroup.  In a group the generators of <a>
+        are the a^k with k prime to o(a), so the walk of a names all of them."""
+        walks: list[list[int]] = []
+        subgroup, exponent = [-1] * self.order, [0] * self.order
+        for a in range(self.order):
+            if subgroup[a] >= 0:
+                continue
+            walk = self.powers(a)
+            o = len(walk)
+            for k, x in enumerate(walk, 1):
+                if gcd(k, o) == 1:
+                    subgroup[x], exponent[x] = len(walks), k
+            walks.append(walk)
+        return CyclicSubgroups(walks, subgroup, exponent)
+
+    @functools.cached_property
     def element_orders(self) -> list[int]:
-        return [len(self.powers(a)) for a in range(self.order)]
+        walks, subgroup, _ = self.cyclic_subgroups
+        return [len(walks[s]) for s in subgroup]
 
     def powers(self, a: int) -> list[int]:
         """[a, a^2, ..., a^o(a)]: the powers of a, ending at the identity.
@@ -280,8 +313,24 @@ def load_cayley_table(path: str | Path) -> FiniteGroup:
     # utf-8-sig also drops one leading byte-order mark.  Text mode ends lines
     # at \n, \r\n and \r only; splitlines() would also end them at \x0c or U+2028.
     with path.open(encoding="utf-8-sig") as file:
-        data = ((lineno, text) for lineno, line in enumerate(file, start=1)
-                if (text := line.strip()) and not text.startswith("#"))
+        def lines():
+            lineno = 0
+            try:
+                for lineno, line in enumerate(file, start=1):
+                    if (text := line.strip()) and not text.startswith("#"):
+                        yield lineno, text
+            except UnicodeDecodeError as exc:
+                # The reader decodes 8 KB at a time and fails on the chunk that
+                # ends line lineno + 1: the bad byte's line is that one plus the
+                # line ends before it in the chunk.  The reader holds back a \r
+                # that ends a chunk, so where lines end in a lone \r and one
+                # falls just before the chunk, the count is one short.
+                before = exc.object[:exc.start]
+                lineno += 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+                raise ValueError(f"{path}:{lineno}: not UTF-8 text "
+                                 f"({exc.reason}, byte {exc.object[exc.start]:#04x})") from None
+
+        data = lines()
         header_line, header = next(data, (0, None))
         if header is None:
             raise ValueError(f"{path}: no data lines")

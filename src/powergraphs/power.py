@@ -9,16 +9,44 @@ exponent with a^t = b.  An absent key means the sentinel (0, 0): b is not
 a power of a (the weight dump still prints (0,0) for it).  The set of all
 exponents m with a^m = b is then exactly AP(W(a, b)).  The weighted
 product, `--dump-weights` and verify-all's exponent-window claim read W.
+Each row is built from its cyclic subgroup's walk when it is read.
 """
 
-import functools
-from collections.abc import Callable
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from math import gcd
 
 from .graphs import SimpleGraph
 from .groups import FiniteGroup
-from .progressions import APPair, WeightTable
+from .progressions import APPair
+
+
+class PowerWeights(Sequence):
+    """The weight rows of a group, each built when it is read.
+
+    Write x = c^k for the chosen generator c of <x>, of order o.  Then
+    x^t = c^(kt), so row x is the walk of c read at stride k: x^t is
+    walk[(k*t - 1) mod o], with the cell (t, o).
+    """
+
+    def __init__(self, group: FiniteGroup):
+        self.group = group
+        self._cells: dict[int, list[APPair]] = {}
+
+    def __len__(self) -> int:
+        return self.group.order
+
+    def __getitem__(self, x: int) -> dict[int, APPair]:
+        walks, subgroup, exponent = self.group.cyclic_subgroups
+        walk, k = walks[subgroup[x]], exponent[x]
+        o = len(walk)
+        # Rows of elements of order o share one list of cells (1, o)..(o, o);
+        # x^1..x^o are pairwise distinct, so each power is set once.
+        if o not in self._cells:
+            self._cells[o] = [APPair(t, o) for t in range(1, o + 1)]
+        return dict(zip([walk[i % o] for i in range(k - 1, k * o, k)], self._cells[o]))
+
+    def __iter__(self) -> Iterator[dict[int, APPair]]:
+        return map(self.__getitem__, range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -27,53 +55,43 @@ class PowerGraphBundle:
 
     group: FiniteGroup
     graph: SimpleGraph
-    weights: WeightTable
+    weights: PowerWeights
 
 
-def power_weights(g: FiniteGroup) -> WeightTable:
-    """Sparse weight rows of g: row a holds its o(a) powers a^1..a^o(a)."""
-    # Rows of elements of order o share one list of cells (1, o)..(o, o);
-    # a^1..a^o(a) are pairwise distinct, so each power is set once.
-    cells = functools.cache(lambda o: [APPair(t, o) for t in range(1, o + 1)])
-    return [dict(zip(walk, cells(len(walk)))) for walk in map(g.powers, range(g.order))]
+def power_weights(g: FiniteGroup) -> PowerWeights:
+    """Sparse weight rows of g, read-only: row a holds its o(a) powers a^1..a^o(a)."""
+    return PowerWeights(g)
 
 
 def power_graph_bundle(g: FiniteGroup) -> PowerGraphBundle:
-    weights = power_weights(g)
-    # Row a's keys are a^1..a^o(a) in order: the graph reuses the walks.
-    return PowerGraphBundle(g, _graph(g, lambda a: list(weights[a])), weights)
+    return PowerGraphBundle(g, _graph(g), power_weights(g))
 
 
 def power_graph(g: FiniteGroup) -> SimpleGraph:
     """Undirected power graph of g: a ~ b iff one is a power of the other."""
-    return _graph(g, g.powers)
+    return _graph(g)
 
 
-def _graph(g: FiniteGroup, powers: Callable[[int], list[int]]) -> SimpleGraph:
-    """The power graph from powers(a) = [a, a^2, ..., a^o(a)], read once per cyclic subgroup.
+def _graph(g: FiniteGroup) -> SimpleGraph:
+    """The power graph from g's cyclic subgroups, one walk each.
 
     Row x is <x> together with every generator of a cyclic subgroup that
-    holds x.  The generators of <a> are the a^k with k prime to o(a), so one
-    walk gives the rows of all of them.
+    holds x.
     """
-    n = g.order
-    subgroup = [0] * n  # the row of <x>, once x's subgroup is walked
-    above = [0] * n  # the generators of the cyclic subgroups that hold x
-    for a in range(n):
-        if subgroup[a]:
-            continue
-        walk = powers(a)
-        generators = [x for k, x in enumerate(walk, 1) if gcd(k, len(walk)) == 1]
-        # The powers of a are distinct, so summing their bits ORs them.
-        mask = sum(1 << x for x in walk)
-        for x in generators:
-            subgroup[x] = mask
-        mask = sum(1 << x for x in generators)
+    walks, subgroup, _ = g.cyclic_subgroups
+    generators = [0] * len(walks)
+    for x, s in enumerate(subgroup):
+        generators[s] |= 1 << x
+    own = []  # each subgroup's elements
+    above = [0] * g.order  # the generators of the cyclic subgroups that hold x
+    for walk, mask in zip(walks, generators):
+        # The powers of a generator are distinct, so summing their bits ORs them.
+        own.append(sum(1 << x for x in walk))
         for x in walk:
             above[x] |= mask
     # x is in <x> and generates it, so bit x is set on both sides.
     return SimpleGraph._of_rows(list(g.element_names),
-                                [(own | gens) ^ (1 << x) for x, (own, gens) in enumerate(zip(subgroup, above))])
+                                [(own[s] | gens) ^ (1 << x) for x, (s, gens) in enumerate(zip(subgroup, above))])
 
 
 def exponent_set_window(g: FiniteGroup, a: int, b: int, bound: int) -> set[int]:

@@ -14,6 +14,8 @@ from math import gcd
 from operator import itemgetter, mul, or_
 
 from .graphs import SimpleGraph
+from .groups import FiniteGroup
+from .power import PowerWeights
 from .progressions import APPair, SENTINEL, WeightTable, aps_intersect_positively
 
 DEFAULT_SIZE_CAP = 10000
@@ -102,12 +104,18 @@ def generalized_product_graph(a: SimpleGraph, wa: WeightTable,
     _check_weights(a, wa, "left")
     _check_weights(b, wb, "right")
     labels, nb = _product_labels(a, b), b.vertex_count
-    forward = _forward_rows(wa, wb, nb)
+    if isinstance(wa, PowerWeights) and isinstance(wb, PowerWeights):
+        forward = _power_forward_rows(wa.group, wb.group)
+    else:
+        # Power rows are built here once each: the join and _symmetric read them.
+        wa, wb = list(wa), list(wb)
+        forward = _forward_rows(wa, wb, nb)
+        # The reverse rows are the forward rows when both tables are
+        # symmetric, as classical weights are (see below).
+        if _symmetric(wa) and _symmetric(wb):
+            return SimpleGraph._of_rows(labels, forward)
     # x ~ y meets in the reverse orientation iff the forward arc y -> x meets,
-    # so the reverse rows are the transpose of the forward rows: the forward
-    # rows themselves when both tables are symmetric, as classical weights are.
-    if _symmetric(wa) and _symmetric(wb):
-        return SimpleGraph._of_rows(labels, forward)
+    # so the reverse rows are the transpose of the forward rows.
     return SimpleGraph._of_rows(labels, list(map(or_, forward, _transpose(forward))))
 
 
@@ -158,6 +166,52 @@ def _forward_rows(wa: WeightTable, wb: WeightTable, nb: int) -> list[int]:
         # Meeting diagonal cells would give the arc x -> x: not a self-loop.
         rows.extend(row & ~(1 << g1 * nb + g2) for g2, row in enumerate(acc))
     return rows
+
+
+def _power_forward_rows(g1: FiniteGroup, g2: FiniteGroup) -> list[int]:
+    """_forward_rows under the power weights of g1 and g2, one dot product
+    per pair of cyclic subgroups and unit ratio.
+
+    Write x1 = c1^k1 and x2 = c2^k2, for the chosen generators c1 and c2 of
+    their cyclic subgroups, of orders o1 and o2, and let d = gcd(o1, o2).
+    The cell (x1, c1^u1) is (t1, o1) with t1 = u1 / k1 mod o1, and likewise
+    on the right, so the cells of x1 and x2 meet at (c1^u1, c2^u2) iff
+    u1 / k1 = u2 / k2 mod d, that is u2 = u1 * m mod d with m = k2 / k1.
+    Row (x1, x2) is then the dot product of c1's start-residue masks L[r]
+    (bit h1 * n2 for each h1 = c1^u1, u1 = r mod d) with c2's masks
+    R[r * m mod d] (bit h2): a function of the two subgroups and m alone.
+    It holds bit x = (x1, x2) itself (u1 = k1, u2 = k2), which is cleared.
+    """
+    walks2, subgroup2, exponent2 = g2.cyclic_subgroups
+    n2 = g2.order
+    right = {}  # c2's masks R per (subgroup, d)
+    rows = [0] * (g1.order * n2)
+    for walk1 in g1.cyclic_subgroups.walks:
+        o1 = len(walk1)
+        left, joined = {}, {}  # c1's masks L per d, and the rows per (subgroup, m)
+        # The generators of <c1> are the c1^k1 with k1 prime to o1.
+        for k1, x1 in enumerate(walk1, 1):
+            if gcd(k1, o1) > 1:
+                continue
+            x = x1 * n2
+            for s2, k2 in zip(subgroup2, exponent2):
+                d = gcd(o1, len(walks2[s2]))
+                key = (s2, k2 * pow(k1, -1, d) % d)
+                if key not in joined:
+                    if d not in left:
+                        left[d] = _walk_masks(walk1, d, n2)
+                    if (s2, d) not in right:
+                        right[s2, d] = _walk_masks(walks2[s2], d)
+                    masks, m = right[s2, d], key[1]
+                    joined[key] = sum(map(mul, left[d], [masks[r * m % d] for r in range(d)]))
+                rows[x] = joined[key] ^ 1 << x
+                x += 1
+    return rows
+
+
+def _walk_masks(walk: list[int], d: int, scale: int = 1) -> list[int]:
+    """Entry r: bit c^u * scale for each power c^u = walk[u - 1] with u = r mod d."""
+    return [sum(1 << x * scale for x in walk[(r - 1) % d::d]) for r in range(d)]
 
 
 def _transpose(rows: list[int]) -> list[int]:
@@ -265,6 +319,7 @@ def classical_weights(kind: str, g: SimpleGraph) -> WeightTable:
 
 def _check_weights(g: SimpleGraph, w: WeightTable, side: str) -> None:
     n = g.vertex_count
-    if len(w) != n or any(row and (min(row) < 0 or max(row) >= n or min(map(itemgetter(1), row.values())) < 0)
-                          for row in w):
+    # Power weight rows hold group elements and positive steps by construction.
+    if len(w) != n or not isinstance(w, PowerWeights) and any(
+            row and (min(row) < 0 or max(row) >= n or min(map(itemgetter(1), row.values())) < 0) for row in w):
         raise ValueError(f"{side} weight table needs {n} rows with targets in 0..{n - 1} and steps >= 0")

@@ -7,6 +7,7 @@ non-sentinel cells: an absent key means no relation, and the weight dump
 still prints it as (0,0).
 """
 
+from collections.abc import Sequence
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -21,7 +22,8 @@ class APPair(NamedTuple):
 SENTINEL = APPair(0, 0)
 
 # Row a maps each target b to its non-sentinel cell; absent keys are (0,0).
-WeightTable = list[dict[int, APPair]]
+# Power weights are a read-only sequence whose rows are built when read.
+WeightTable = Sequence[dict[int, APPair]]
 
 
 def ap_contains(p: APPair, m: int) -> bool:

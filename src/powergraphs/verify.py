@@ -119,9 +119,11 @@ def check_exponent_windows(g: FiniteGroup) -> InstanceResult:
     weights = power_weights(g)
     for a in range(g.order):
         bound = 3 * g.element_orders[a]
+        # Each read of a power weight row builds it, so the row is read once.
+        row = weights[a]
         for b in range(g.order):
             brute = exponent_set_window(g, a, b, bound)
-            via_ap = {m for m in range(1, bound + 1) if ap_contains(weights[a].get(b, SENTINEL), m)}
+            via_ap = {m for m in range(1, bound + 1) if ap_contains(row.get(b, SENTINEL), m)}
             if brute != via_ap:
                 return InstanceResult(
                     g.name, False,

@@ -115,6 +115,21 @@ def test_product_generalized_output_is_pinned(capsys, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == Q8_C125_DIGESTS[fmt]
 
 
+# sha256 of the stdout of each `--dump-weights` command below, as the weight
+# rows printed it when each was a dict built up front.
+DUMP_DIGESTS = {
+    "build C12 --dump-weights": "da6d09efd1862492ee4347a6a00be3a3a2895a0f7d3bf86a10929ed7e277ae18",
+    "product direct D4 Q8 --dump-weights": "3bfcfa9c7d24a3d70bf454bc24ea3b17583ea2a1fc1820f44ac3ee458c42f4a6",
+}
+
+
+@pytest.mark.parametrize("command", sorted(DUMP_DIGESTS))
+def test_dump_weights_output_is_pinned(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DUMP_DIGESTS[command]
+
+
 def test_verify_theorem_pass(capsys):
     code, out, _ = run(capsys, "verify-theorem", "C2", "C3")
     assert code == 0
@@ -301,6 +316,23 @@ def test_stats_reads_a_cayley_table_from_a_pipe(tmp_path):
     assert from_file[0] == "group: d3" and from_pipe[0] == "group: stdin"
     assert from_pipe[1:] == from_file[1:]
     assert "abelian: no" in from_file
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin on this platform")
+def test_stats_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    # A 0xFF byte on line 61, past the reader's first 8 KB chunk, from a file and from a pipe.
+    table = cyclic(100).table
+    data = (f"100\n" + "".join(" ".join(map(str, row)) + "\n" for row in table)).encode()
+    at = data.index(b"\n59 60 ") + 4
+    data = data[:at] + b"\xff" + data[at + 1:]
+    path = tmp_path / "c100.tbl"
+    path.write_bytes(data)
+    env = dict(os.environ, PYTHONPATH=str(Path(powergraphs.__file__).parents[1]))
+    for source in (path, "/dev/stdin"):
+        done = subprocess.run([sys.executable, "-m", "powergraphs.cli", "stats", f"cayley:{source}"],
+                              input=data, capture_output=True, env=env)
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert done.stderr.decode() == f"error: {source}:61: not UTF-8 text (invalid start byte, byte 0xff)\n"
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -6,6 +6,7 @@ import tracemalloc
 from collections import Counter
 from functools import reduce
 from enum import IntEnum
+from math import gcd
 
 import pytest
 
@@ -28,6 +29,8 @@ from powergraphs import (
     symmetric,
 )
 from powergraphs.groups import _generators
+from powergraphs.groupspec import parse_group_spec
+from powergraphs.verify import family_groups
 
 # Latin square whose only identity-shaped row (row 0) fails columnwise,
 # so there is no two-sided identity.
@@ -424,6 +427,31 @@ def test_element_orders_are_computed_on_first_use():
     assert vars(g)["element_orders"] == [1, 6, 3, 2, 3, 6]
 
 
+def test_cyclic_subgroups_give_every_walk_and_order():
+    """Element orders, the stride rows of the cyclic subgroups and the power
+    weight rows all equal the element's own walk: on the family, on
+    relabelled copies of its tables, and on larger groups."""
+    rng = random.Random(43)
+    family = family_groups(36)
+    groups = [*family, *(group_from_cayley_table(relabelled(g, rng), name=f"{g.name}'") for g in family),
+              *map(parse_group_spec, ("D30", "Q8xC15", "S3xC2xC4", "C2xC2xC2xC3"))]
+    for g in groups:
+        walks, subgroup, exponent = g.cyclic_subgroups
+        own = [g.powers(x) for x in range(g.order)]
+        assert g.element_orders == list(map(len, own)), g.name
+        weights = power_weights(g)
+        for x, walk in enumerate(own):
+            c, k = walks[subgroup[x]], exponent[x]
+            o = len(c)
+            assert gcd(k, o) == 1, (g.name, x)
+            assert [c[(k * t - 1) % o] for t in range(1, o + 1)] == walk, (g.name, x)
+            assert list(weights[x]) == walk, (g.name, x)
+        # One walk per cyclic subgroup, from its first generator in index order.
+        assert len({frozenset(walk) for walk in own}) == len(walks), g.name
+        assert [exponent[c[0]] for c in walks] == [1] * len(walks), g.name
+        assert all(x >= c[0] for c in walks for k, x in enumerate(c, 1) if gcd(k, len(c)) == 1), g.name
+
+
 def test_cyclic_rejects_zero():
     with pytest.raises(InvalidOrder):
         cyclic(0)
@@ -639,6 +667,25 @@ def test_load_splits_lines_only_at_newlines(tmp_path):
                  b"2\r0 1\r1 0\r"):
         path.write_bytes(data)
         assert load_cayley_table(path).table == [[0, 1], [1, 0]]
+
+
+def test_load_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    # The reader decodes 8 KB at a time; the line is counted from the file's
+    # start, not from the chunk, for every line end the reader takes.
+    path = tmp_path / "c100.tbl"
+    lines = [b"# C100", b"100", *(" ".join(map(str, row)).encode() for row in cyclic(100).table), b"# end"]
+    for newline in (b"\n", b"\r\n", b"\r"):
+        data = newline.join(lines) + newline
+        for lineno, column in ((1, 3), (2, 0), (61, 5), (102, 2)):
+            at = sum(len(line) + len(newline) for line in lines[:lineno - 1]) + column
+            path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+            with pytest.raises(ValueError) as info:
+                load_cayley_table(path)
+            assert str(info.value) == f"{path}:{lineno}: not UTF-8 text (invalid start byte, byte 0xff)"
+    # A multi-byte sequence cut short by the end of the file.
+    path.write_bytes(b"2\n0 1\n1 0\n# \xe2\x82")
+    with pytest.raises(ValueError, match=r":4: not UTF-8 text \(unexpected end of data, byte 0xe2\)$"):
+        load_cayley_table(path)
 
 
 def test_load_rejects_bad_header(tmp_path):

@@ -14,6 +14,7 @@ from powergraphs import (
     dihedral,
     direct_product,
     exponent_set_window,
+    generalized_product_graph,
     graphs_equal_labeled,
     has_universal_vertex,
     power_graph,
@@ -72,15 +73,16 @@ def test_weight_rows_share_their_cells():
     for g in (cyclic(12), dihedral(5), symmetric(4), quaternion8()):
         expected = [{x: APPair(t, len(walk)) for t, x in enumerate(walk, 1)}
                     for walk in map(g.powers, range(g.order))]
-        assert power_weights(g) == expected, g
-    g = cyclic(600)
+        assert list(power_weights(g)) == expected, g
+    # The rows are built when read: all of C600's rows, held at once.
+    w = power_weights(cyclic(600))
     tracemalloc.start()
     try:
-        w = power_weights(g)
+        rows = list(w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(map(len, w)) == 156821
+    assert sum(map(len, rows)) == 156821
     # A new APPair per cell took 19.3 MiB.
     assert peak < 10 * 2**20, peak
 
@@ -219,7 +221,7 @@ def test_power_graph_matches_arc_oracle_on_large_groups(spec):
     assert got.labels == want.labels
 
 
-def test_bundle_walks_each_element_once(monkeypatch):
+def test_bundle_walks_each_cyclic_subgroup_once(monkeypatch):
     walked = []
     original = FiniteGroup.powers
 
@@ -230,8 +232,17 @@ def test_bundle_walks_each_element_once(monkeypatch):
     for g in family_groups(36):
         walked.clear()
         bundle = power_graph_bundle(g)
-        assert sorted(walked) == list(range(g.order)), g.name
+        rows = list(bundle.weights)
+        generalized_product_graph(bundle.graph, bundle.weights, bundle.graph, bundle.weights)
+        # One walk per cyclic subgroup, from the first of its generators.
+        subgroups = {frozenset(powers(g, a)) for a in range(g.order)}
+        assert len(walked) == len(set(walked)) == len(subgroups), g.name
+        assert {frozenset(original(g, a)) for a in walked} == subgroups, g.name
+        assert all(a == min(x for x in range(g.order) if frozenset(powers(g, x)) == frozenset(powers(g, a)))
+                   for a in walked), g.name
         assert graphs_equal_labeled(bundle.graph, arc_power_graph(g))
+        assert rows == [{x: APPair(t, len(walk)) for t, x in enumerate(walk, 1)}
+                        for walk in (powers(g, a) for a in range(g.order))], g.name
 
 
 def test_window_for_identity():

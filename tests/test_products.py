@@ -29,6 +29,8 @@ from powergraphs import (
     quaternion8,
 )
 from powergraphs.cli import main
+from powergraphs.groupspec import parse_group_spec
+from powergraphs.power import PowerWeights
 from powergraphs.products import CLASSICAL_KINDS, classical_product
 from powergraphs.verify import RANDOM_TRIALS, check_classical_weights, family_groups
 
@@ -200,9 +202,9 @@ def test_classical_products_at_the_size_cap_fit_in_memory():
 
 
 def test_power_product_keeps_no_int_per_weight_cell():
-    # P(Q8) x P(C625): 5000 vertices and 6,963,648 edges.  The two-join
-    # product peaked at 19.0 MiB; keeping one 1 << target int per right
-    # cell took 45.4 MiB.
+    # P(Q8) x P(C625): 5000 vertices and 6,963,648 edges.  The subgroup
+    # join peaks at about 8.5 MiB, the dict join over the weight rows took
+    # 19.0 MiB, and keeping one 1 << target int per right cell 45.4 MiB.
     a, b = power_graph_bundle(quaternion8()), power_graph_bundle(cyclic(625))
     tracemalloc.start()
     try:
@@ -378,6 +380,7 @@ def dense_generalized_product(a, wa, b, wb):
 def dense_meeting_arcs(wa, wb):
     """Oracle: for each x = (g1, g2), the set of y = (h1, h2) != x whose
     forward cells meet, over all pairs, with the sentinel in every absent cell."""
+    wa, wb = list(wa), list(wb)
     na, nb = len(wa), len(wb)
     return [{h1 * nb + h2 for h1 in range(na) for h2 in range(nb)
              if (g1, g2) != (h1, h2)
@@ -401,11 +404,12 @@ def symmetric(w):
 @pytest.fixture
 def product_calls(monkeypatch):
     """Records the tables and rows of each forward join the products module
-    runs, and the rows and result of each transpose, and fails on any
-    intersection test of two positive-step cells: the residue join decides
-    those without one."""
-    calls = SimpleNamespace(joins=[], transposes=[])
-    join, transpose = powergraphs.products._forward_rows, powergraphs.products._transpose
+    runs, dict or power, and the rows and result of each transpose, and
+    fails on any intersection test of two positive-step cells: the residue
+    join decides those without one."""
+    calls = SimpleNamespace(joins=[], power_joins=[], transposes=[])
+    join, power_join = powergraphs.products._forward_rows, powergraphs.products._power_forward_rows
+    transpose = powergraphs.products._transpose
 
     def zero_step_only(p, q):
         assert p.step == 0 or q.step == 0, f"tested positive steps {p} and {q}"
@@ -416,28 +420,42 @@ def product_calls(monkeypatch):
         calls.joins.append((wa, wb, rows))
         return rows
 
+    def recorded_power_join(g1, g2):
+        rows = power_join(g1, g2)
+        calls.power_joins.append((g1, g2, rows))
+        return rows
+
     def recorded_transpose(rows):
         out = transpose(rows)
         calls.transposes.append((rows, out))
         return out
     monkeypatch.setattr("powergraphs.products.aps_intersect_positively", zero_step_only)
     monkeypatch.setattr("powergraphs.products._forward_rows", recorded_join)
+    monkeypatch.setattr("powergraphs.products._power_forward_rows", recorded_power_join)
     monkeypatch.setattr("powergraphs.products._transpose", recorded_transpose)
     return calls
 
 
 def assert_matches_dense(a, wa, b, wb, calls):
     calls.joins.clear()
+    calls.power_joins.clear()
     calls.transposes.clear()
     got = generalized_product_graph(a, wa, b, wb)
     assert got.edges() == dense_generalized_product(a, wa, b, wb).edges()
-    # One join over the tables. The reverse rows are the transpose of its
-    # rows; when both tables are symmetric that is the rows themselves, and
-    # no transpose is taken.
-    (wa1, wb1, forward), = calls.joins
-    assert (wa1, wb1) == (wa, wb)
+    # One join over the tables: the subgroup join when both are power
+    # weights, else the dict join over their rows.  The reverse rows are the
+    # transpose of its rows; when both dict tables are symmetric that is the
+    # rows themselves, and no transpose is taken.
+    if isinstance(wa, PowerWeights) and isinstance(wb, PowerWeights):
+        assert calls.joins == []
+        (g1, g2, forward), = calls.power_joins
+        assert (g1, g2) == (wa.group, wb.group)
+    else:
+        assert calls.power_joins == []
+        (wa1, wb1, forward), = calls.joins
+        assert (wa1, wb1) == (list(wa), list(wb))
     reverse = brute_transpose(forward)
-    if symmetric(wa) and symmetric(wb):
+    if calls.joins and symmetric(wa) and symmetric(wb):
         assert calls.transposes == []
         assert reverse == forward
     else:
@@ -495,6 +513,8 @@ def test_sparse_product_matches_dense_scan_on_random_tables(product_calls):
 
 
 def test_sparse_product_matches_dense_scan_on_power_weights(product_calls):
+    """Power weights take the subgroup join, checked arc by arc against the
+    dense scan; as dict rows, or beside a dict table, they take the dict join."""
     bundles = [power_graph_bundle(g) for g in family_groups(36)]
     checked = 0
     for b1 in bundles:
@@ -503,6 +523,57 @@ def test_sparse_product_matches_dense_scan_on_power_weights(product_calls):
                 assert_matches_dense(b1.graph, b1.weights, b2.graph, b2.weights, product_calls)
                 checked += 1
     assert checked > 100
+    rng = random.Random(47)
+    for b1, b2 in rng.sample([(b1, b2) for b1 in bundles for b2 in bundles
+                              if b1.group.order * b2.group.order <= 36], 20):
+        as_dicts = [dict(row) for row in b2.weights]
+        assert_matches_dense(b1.graph, b1.weights, b2.graph, as_dicts, product_calls)
+        assert_matches_dense(b2.graph, as_dicts, b1.graph, b1.weights, product_calls)
+        normal = classical_weights("normal", b2.graph)
+        assert_matches_dense(b1.graph, b1.weights, b2.graph, normal, product_calls)
+
+
+def dict_join(b1, b2):
+    """The weighted product of two bundles through the dict join, over their
+    power weight rows copied into plain dicts."""
+    return generalized_product_graph(b1.graph, [dict(row) for row in b1.weights],
+                                     b2.graph, [dict(row) for row in b2.weights])
+
+
+def test_power_join_matches_dict_join_on_family_pairs(product_calls):
+    bundles = [power_graph_bundle(g) for g in family_groups(144)]
+    pairs = [(b1, b2) for b1 in bundles for b2 in bundles if b1.group.order * b2.group.order <= 144]
+    for b1, b2 in pairs:
+        product_calls.power_joins.clear()
+        got = generalized_product_graph(b1.graph, b1.weights, b2.graph, b2.weights)
+        assert len(product_calls.power_joins) == 1
+        want = dict_join(b1, b2)
+        assert got.labels == want.labels and graphs_equal_labeled(got, want), (b1.group.name, b2.group.name)
+    assert len(pairs) == 379
+
+
+@pytest.mark.parametrize("specs", [("Q8", "C125"), ("D50", "C100"), ("C4000", "C2")])
+def test_power_join_matches_dict_join_on_large_pairs(specs):
+    b1, b2 = (power_graph_bundle(parse_group_spec(spec)) for spec in specs)
+    got = generalized_product_graph(b1.graph, b1.weights, b2.graph, b2.weights)
+    want = dict_join(b1, b2)
+    assert got.labels == want.labels and graphs_equal_labeled(got, want)
+    assert got.edge_count == want.edge_count > 0
+
+
+def test_power_join_of_trivial_groups():
+    b = power_graph_bundle(cyclic(1))
+    got = generalized_product_graph(b.graph, b.weights, b.graph, b.weights)
+    assert (got.vertex_count, got.edge_count, got.labels) == (1, 0, ["(0,0)"])
+    assert graphs_equal_labeled(got, dict_join(b, b))
+
+
+def test_power_weights_shape_checked():
+    b = power_graph_bundle(cyclic(3))
+    with pytest.raises(ValueError, match="left weight table needs 2 rows"):
+        generalized_product_graph(k2(), b.weights, b.graph, b.weights)
+    with pytest.raises(ValueError, match="right weight table needs 2 rows"):
+        generalized_product_graph(b.graph, b.weights, k2(), b.weights)
 
 
 def test_residue_join_edge_cases(product_calls):

@@ -234,7 +234,8 @@ def test_sweep_dumps_a_product_identity_failure(monkeypatch, capsys):
 
 def test_sweep_dumps_an_exponent_window_failure(monkeypatch, capsys):
     def corrupted(g):
-        weights = power_weights(g)
+        # Power weights are read-only; their rows, copied, are a plain table.
+        weights = list(power_weights(g))
         if g.name == "C4":
             weights[1][3] = APPair(1, 4)  # 1^3 = 3 in C4, so the start is 3
         return weights
