@@ -7,8 +7,8 @@ The weight table W holds one row per element: row a maps each power
 b = a^t, t = 1..o(a), to the APPair (t, o(a)), t the least positive
 exponent with a^t = b.  An absent key means the sentinel (0, 0): b is not
 a power of a (the weight dump still prints (0,0) for it).  The set of all
-exponents m with a^m = b is then exactly AP(W(a, b)).  The weighted
-product, `--dump-weights` and verify-all's exponent-window claim read W.
+exponents m with a^m = b is then exactly AP(W(a, b)).  `--dump-weights`
+and verify-all's exponent-window claim read W; the power join does not.
 Each row is built from its cyclic subgroup's walk when it is read.
 """
 

@@ -105,23 +105,26 @@ def generalized_product_graph(a: SimpleGraph, wa: WeightTable,
     _check_weights(b, wb, "right")
     labels, nb = _product_labels(a, b), b.vertex_count
     if isinstance(wa, PowerWeights) and isinstance(wb, PowerWeights):
-        forward = _power_forward_rows(wa.group, wb.group)
-    else:
-        # Power rows are built here once each: the join and _symmetric read them.
-        wa, wb = list(wa), list(wb)
-        forward = _forward_rows(wa, wb, nb)
-        # The reverse rows are the forward rows when both tables are
-        # symmetric, as classical weights are (see below).
-        if _symmetric(wa) and _symmetric(wb):
-            return SimpleGraph._of_rows(labels, forward)
-    # x ~ y meets in the reverse orientation iff the forward arc y -> x meets,
-    # so the reverse rows are the transpose of the forward rows.
-    return SimpleGraph._of_rows(labels, list(map(or_, forward, _transpose(forward))))
+        return SimpleGraph._of_rows(labels, _power_rows(wa.group, wb.group))
+    # Power rows are built here once each: the join and _flip read them.
+    wa, wb = list(wa), list(wb)
+    forward = _forward_rows(wa, wb, nb)
+    # x ~ y meets in the reverse orientation iff the forward arc y -> x
+    # meets, so the reverse rows are the forward join over the flipped
+    # tables.  Classical weight tables are their own flip.
+    flipped = _flip(wa), _flip(wb)
+    if flipped == (wa, wb):
+        return SimpleGraph._of_rows(labels, forward)
+    return SimpleGraph._of_rows(labels, list(map(or_, forward, _forward_rows(*flipped, nb))))
 
 
-def _symmetric(w: WeightTable) -> bool:
-    """Whether w[h][g] is w[g][h] for every stored cell, so that no cell is stored one way only."""
-    return all(w[h].get(g) == cell for g, row in enumerate(w) for h, cell in row.items())
+def _flip(w: list[dict[int, APPair]]) -> list[dict[int, APPair]]:
+    """The table w' with w'[h][g] = w[g][h] for every stored cell."""
+    flipped = [{} for _ in w]
+    for g, row in enumerate(w):
+        for h, cell in row.items():
+            flipped[h][g] = cell
+    return flipped
 
 
 def _forward_rows(wa: WeightTable, wb: WeightTable, nb: int) -> list[int]:
@@ -168,27 +171,31 @@ def _forward_rows(wa: WeightTable, wb: WeightTable, nb: int) -> list[int]:
     return rows
 
 
-def _power_forward_rows(g1: FiniteGroup, g2: FiniteGroup) -> list[int]:
-    """_forward_rows under the power weights of g1 and g2, one dot product
-    per pair of cyclic subgroups and unit ratio.
+def _power_rows(g1: FiniteGroup, g2: FiniteGroup) -> list[int]:
+    """The rows of the weighted product under the power weights of g1 and
+    g2, one dot product per cyclic subgroup of g1 x g2.
 
     Write x1 = c1^k1 and x2 = c2^k2, for the chosen generators c1 and c2 of
     their cyclic subgroups, of orders o1 and o2, and let d = gcd(o1, o2).
     The cell (x1, c1^u1) is (t1, o1) with t1 = u1 / k1 mod o1, and likewise
     on the right, so the cells of x1 and x2 meet at (c1^u1, c2^u2) iff
     u1 / k1 = u2 / k2 mod d, that is u2 = u1 * m mod d with m = k2 / k1.
-    Row (x1, x2) is then the dot product of c1's start-residue masks L[r]
-    (bit h1 * n2 for each h1 = c1^u1, u1 = r mod d) with c2's masks
-    R[r * m mod d] (bit h2): a function of the two subgroups and m alone.
-    It holds bit x = (x1, x2) itself (u1 = k1, u2 = k2), which is cleared.
+    The forward row of x = (x1, x2) is then the dot product J of c1's
+    start-residue masks L[r] (bit h1 * n2 for each h1 = c1^u1, u1 = r mod
+    d) with c2's masks R[r * m mod d] (bit h2).  Its arcs x -> y are the
+    powers y of x, so J is the mask of the cyclic subgroup K = <x>, and
+    the key (c1, c2, m) names K: the x with that key, G[K], are K's
+    generators.  The reverse row of y is then the OR of G[K] over every K
+    that holds y.  Both hold bit x itself, which is cleared.
     """
     walks2, subgroup2, exponent2 = g2.cyclic_subgroups
     n2 = g2.order
     right = {}  # c2's masks R per (subgroup, d)
-    rows = [0] * (g1.order * n2)
+    forward = [0] * (g1.order * n2)  # J[K] per generator x of K
+    above = [0] * len(forward)  # per y, the generators of the K that hold y; then row y
     for walk1 in g1.cyclic_subgroups.walks:
         o1 = len(walk1)
-        left, joined = {}, {}  # c1's masks L per d, and the rows per (subgroup, m)
+        left, joined, generators = {}, {}, {}  # c1's masks L per d; J and G per (subgroup, m)
         # The generators of <c1> are the c1^k1 with k1 prime to o1.
         for k1, x1 in enumerate(walk1, 1):
             if gcd(k1, o1) > 1:
@@ -204,47 +211,24 @@ def _power_forward_rows(g1: FiniteGroup, g2: FiniteGroup) -> list[int]:
                         right[s2, d] = _walk_masks(walks2[s2], d)
                     masks, m = right[s2, d], key[1]
                     joined[key] = sum(map(mul, left[d], [masks[r * m % d] for r in range(d)]))
-                rows[x] = joined[key] ^ 1 << x
+                    generators[key] = 0
+                forward[x] = joined[key]
+                generators[key] |= 1 << x
                 x += 1
-    return rows
+        for key, own in joined.items():
+            gens = generators[key]
+            while own:
+                low = own & -own
+                above[low.bit_length() - 1] |= gens
+                own ^= low
+    for x, row in enumerate(forward):
+        above[x] = (row | above[x]) ^ 1 << x
+    return above
 
 
 def _walk_masks(walk: list[int], d: int, scale: int = 1) -> list[int]:
     """Entry r: bit c^u * scale for each power c^u = walk[u - 1] with u = r mod d."""
     return [sum(1 << x * scale for x in walk[(r - 1) % d::d]) for r in range(d)]
-
-
-def _transpose(rows: list[int]) -> list[int]:
-    """The rows of the transposed bit matrix: bit x of row y is bit y of rows[x].
-
-    The rows are packed as bytes, width bytes each.  Each byte-column is
-    read as one int, padded with zero rows to a multiple of 8: a run of
-    64-bit words that each hold an 8x8 block with byte k its row k.  Three
-    masked shift/xor rounds transpose every block at once (Warren, Hacker's
-    Delight, 7-3), and byte k of each word then holds the block's column k.
-    This is O(n**2 / 8) bytes of C-level work, and the packed rows are the one
-    transient: 12.5 MB at n = 10000.
-    """
-    n = len(rows)
-    height = n + (-n & 7)
-    width = height // 8
-    data = bytearray()
-    for row in rows:
-        data += row.to_bytes(width, "little")
-    words = ((1 << 8 * height) - 1) // ((1 << 64) - 1)  # bit 0 of every word
-    mask7, mask14, mask28 = (words * c for c in (0x00AA00AA00AA00AA, 0x0000CCCC0000CCCC, 0x00000000F0F0F0F0))
-    out = []
-    for j in range(width):
-        x = int.from_bytes(data[j::width], "little")
-        t = (x ^ x >> 7) & mask7
-        x ^= t ^ t << 7
-        t = (x ^ x >> 14) & mask14
-        x ^= t ^ t << 14
-        t = (x ^ x >> 28) & mask28
-        x ^= t ^ t << 28
-        block = x.to_bytes(height, "little")
-        out.extend(int.from_bytes(block[k::8], "little") for k in range(8))
-    return out[:n]
 
 
 def _by_step(row: dict[int, APPair]) -> dict[int, dict[int, APPair]]:

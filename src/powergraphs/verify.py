@@ -68,16 +68,23 @@ def family_groups(max_order: int = DEFAULT_MAX_ORDER) -> list[FiniteGroup]:
 
 
 def edge_set_difference(left: SimpleGraph, right: SimpleGraph) -> str:
-    """Counterexample dump: the symmetric difference of the edge sets, labeled."""
-    edges_left = set(left.edges())
-    edges_right = set(right.edges())
+    """Counterexample dump: the symmetric difference of the edge sets, labeled.
 
-    def fmt(graph: SimpleGraph, pairs: set[tuple[int, int]]) -> str:
-        return "{" + ", ".join(f"{graph.labels[u]}--{graph.labels[v]}"
-                               for u, v in sorted(pairs)) + "}"
-
-    return (f"only in left: {fmt(left, edges_left - edges_right)}; "
-            f"only in right: {fmt(right, edges_right - edges_left)}")
+    It is read off the XOR of the two graphs' rows, bits above u only, so
+    it takes memory in proportion to the difference, not to the graphs.
+    """
+    n = max(left.vertex_count, right.vertex_count)
+    rows_left, rows_right = (g._rows + [0] * (n - g.vertex_count) for g in (left, right))
+    only_left, only_right = [], []
+    for u, (row_left, row_right) in enumerate(zip(rows_left, rows_right)):
+        diff = (row_left ^ row_right) >> u + 1
+        while diff:
+            low = diff & -diff
+            v = u + low.bit_length()
+            graph, pairs = (left, only_left) if row_left >> v & 1 else (right, only_right)
+            pairs.append(f"{graph.labels[u]}--{graph.labels[v]}")
+            diff ^= low
+    return f"only in left: {{{', '.join(only_left)}}}; only in right: {{{', '.join(only_right)}}}"
 
 
 def check_power_product_pair(b1: PowerGraphBundle, b2: PowerGraphBundle,

@@ -203,8 +203,9 @@ def test_classical_products_at_the_size_cap_fit_in_memory():
 
 def test_power_product_keeps_no_int_per_weight_cell():
     # P(Q8) x P(C625): 5000 vertices and 6,963,648 edges.  The subgroup
-    # join peaks at about 8.5 MiB, the dict join over the weight rows took
-    # 19.0 MiB, and keeping one 1 << target int per right cell 45.4 MiB.
+    # join peaks at about 3.1 MiB, with the bit transpose of its forward
+    # rows it took 8.5 MiB, the dict join over the weight rows 19.0 MiB,
+    # and keeping one 1 << target int per right cell 45.4 MiB.
     a, b = power_graph_bundle(quaternion8()), power_graph_bundle(cyclic(625))
     tracemalloc.start()
     try:
@@ -397,19 +398,22 @@ def brute_transpose(rows):
     return [sum((rows[x] >> y & 1) << x for x in range(len(rows))) for y in range(len(rows))]
 
 
+def flipped_cells(w):
+    return {(h, g): cell for (g, h), cell in cells(w).items()}
+
+
 def symmetric(w):
-    return {(h, g): cell for (g, h), cell in cells(w).items()} == cells(w)
+    return flipped_cells(w) == cells(w)
 
 
 @pytest.fixture
 def product_calls(monkeypatch):
-    """Records the tables and rows of each forward join the products module
-    runs, dict or power, and the rows and result of each transpose, and
-    fails on any intersection test of two positive-step cells: the residue
-    join decides those without one."""
-    calls = SimpleNamespace(joins=[], power_joins=[], transposes=[])
-    join, power_join = powergraphs.products._forward_rows, powergraphs.products._power_forward_rows
-    transpose = powergraphs.products._transpose
+    """Records the tables and rows of each dict join the products module
+    runs and the groups and rows of each power join, and fails on any
+    intersection test of two positive-step cells: the residue join decides
+    those without one."""
+    calls = SimpleNamespace(joins=[], power_joins=[])
+    join, power_join = powergraphs.products._forward_rows, powergraphs.products._power_rows
 
     def zero_step_only(p, q):
         assert p.step == 0 or q.step == 0, f"tested positive steps {p} and {q}"
@@ -424,76 +428,58 @@ def product_calls(monkeypatch):
         rows = power_join(g1, g2)
         calls.power_joins.append((g1, g2, rows))
         return rows
-
-    def recorded_transpose(rows):
-        out = transpose(rows)
-        calls.transposes.append((rows, out))
-        return out
     monkeypatch.setattr("powergraphs.products.aps_intersect_positively", zero_step_only)
     monkeypatch.setattr("powergraphs.products._forward_rows", recorded_join)
-    monkeypatch.setattr("powergraphs.products._power_forward_rows", recorded_power_join)
-    monkeypatch.setattr("powergraphs.products._transpose", recorded_transpose)
+    monkeypatch.setattr("powergraphs.products._power_rows", recorded_power_join)
     return calls
 
 
 def assert_matches_dense(a, wa, b, wb, calls):
     calls.joins.clear()
     calls.power_joins.clear()
-    calls.transposes.clear()
     got = generalized_product_graph(a, wa, b, wb)
     assert got.edges() == dense_generalized_product(a, wa, b, wb).edges()
-    # One join over the tables: the subgroup join when both are power
-    # weights, else the dict join over their rows.  The reverse rows are the
-    # transpose of its rows; when both dict tables are symmetric that is the
-    # rows themselves, and no transpose is taken.
-    if isinstance(wa, PowerWeights) and isinstance(wb, PowerWeights):
-        assert calls.joins == []
-        (g1, g2, forward), = calls.power_joins
-        assert (g1, g2) == (wa.group, wb.group)
-    else:
-        assert calls.power_joins == []
-        (wa1, wb1, forward), = calls.joins
-        assert (wa1, wb1) == (list(wa), list(wb))
+    # Row x of the product is its meeting arcs x -> y, forward, and the
+    # arcs y -> x, the transpose of the forward rows.
+    forward = [sum(1 << y for y in arcs) for arcs in dense_meeting_arcs(wa, wb)]
     reverse = brute_transpose(forward)
-    if calls.joins and symmetric(wa) and symmetric(wb):
-        assert calls.transposes == []
+    assert got._rows == [f | r for f, r in zip(forward, reverse)]
+    if isinstance(wa, PowerWeights) and isinstance(wb, PowerWeights):
+        # Both are power weights: one subgroup join builds the whole rows.
+        assert calls.joins == []
+        (g1, g2, rows), = calls.power_joins
+        assert (g1, g2) == (wa.group, wb.group)
+        assert rows == got._rows
+        return
+    # Else the dict join gives the forward rows, and a second one over the
+    # flipped tables the reverse rows, unless both tables equal their flips.
+    assert calls.power_joins == []
+    (wa1, wb1, rows), *second = calls.joins
+    assert (wa1, wb1) == (list(wa), list(wb))
+    assert rows == forward
+    if symmetric(wa) and symmetric(wb):
+        assert second == []
         assert reverse == forward
     else:
-        (rows, out), = calls.transposes
-        assert rows is forward
-        assert out == reverse
-    assert got._rows == [f | r for f, r in zip(forward, reverse)]
-    # The join's row x holds exactly the arcs x -> y that meet, so every
-    # meeting arc is set once and no other.
-    arcs = dense_meeting_arcs(wa, wb)
-    assert [{y for y in range(len(forward)) if row >> y & 1} for row in forward] == arcs
-    assert sum(map(int.bit_count, forward)) == sum(map(len, arcs))
+        (wa2, wb2, rows), = second
+        assert (len(wa2), len(wb2)) == (len(wa), len(wb))
+        assert (cells(wa2), cells(wb2)) == (flipped_cells(wa), flipped_cells(wb))
+        assert rows == reverse
 
 
-def test_symmetric_tables_take_one_join(product_calls):
-    """Classical weight tables are symmetric, so their reverse rows are the
-    forward rows: one join and no transpose build the product.  One
-    asymmetric table brings the transpose in, still after one join."""
+def test_tables_equal_to_their_flip_take_one_join(product_calls):
+    """Classical weight tables are their own flip, so their reverse rows
+    are the forward rows: one join builds the product.  One asymmetric
+    table brings in the second join, over the flipped tables."""
     rng = random.Random(31)
     for _ in range(40):
         a, b = random_gnp(rng, rng.randint(1, 6)), random_gnp(rng, rng.randint(1, 6))
         for kind in CLASSICAL_KINDS:
             _, left, right = classical_product(kind)
             assert_matches_dense(a, classical_weights(left, a), b, classical_weights(right, b), product_calls)
-            assert (len(product_calls.joins), len(product_calls.transposes)) == (1, 0)
+            assert len(product_calls.joins) == 1
     assert_matches_dense(k2(), classical_weights("normal", k2()), k2(), [{1: APPair(1, 1)}, {}], product_calls)
-    assert (len(product_calls.joins), len(product_calls.transposes)) == (1, 1)
-
-
-def test_transpose_matches_brute_force():
-    """Every padding residue mod 8, and rows wider than one 64-bit word run."""
-    rng = random.Random(37)
-    for n in [*range(71), 1000, 1001]:
-        single = [0] * n
-        if n:
-            single[rng.randrange(n)] = 1 << rng.randrange(n)
-        for rows in ([rng.getrandbits(n) for _ in range(n)], [0] * n, [(1 << n) - 1] * n, single):
-            assert powergraphs.products._transpose(rows) == brute_transpose(rows), n
+    assert len(product_calls.joins) == 2
 
 
 def random_weights(rng, n):
@@ -552,13 +538,47 @@ def test_power_join_matches_dict_join_on_family_pairs(product_calls):
     assert len(pairs) == 379
 
 
-@pytest.mark.parametrize("specs", [("Q8", "C125"), ("D50", "C100"), ("C4000", "C2")])
+def dense_band_rows(w1, w2, band):
+    """Oracle: the product's row x = (g1, g2) for each g1 in band and every
+    g2, from a dense scan of the arcs x -> y and y -> x.  The left rows are
+    read one at a time, for the band's columns, so no whole left table is
+    held at once."""
+    w2 = list(w2)
+    n1, n2 = len(w1), len(w2)
+    columns = {g1: [] for g1 in band}
+    for row in w1:
+        for g1, column in columns.items():
+            column.append(row.get(g1, SENTINEL))
+    rows = {}
+    for g1, column in columns.items():
+        row1 = w1[g1]
+        for g2, row2 in enumerate(w2):
+            x = g1 * n2 + g2
+            rows[x] = sum(1 << h1 * n2 + h2 for h1 in range(n1) for h2 in range(n2)
+                          if h1 * n2 + h2 != x
+                          and (aps_intersect_positively(row1.get(h1, SENTINEL), row2.get(h2, SENTINEL))
+                               or aps_intersect_positively(column[h1], w2[h2].get(g2, SENTINEL))))
+    return rows
+
+
+@pytest.mark.parametrize("specs", [("Q8", "C125"), ("D50", "C100"), ("C4000", "C2"),
+                                   ("C2xC2xC2xC2xC2xC2", "C2xC2xC2xC2xC2xC2xC2"), ("S5", "D40")])
 def test_power_join_matches_dict_join_on_large_pairs(specs):
     b1, b2 = (power_graph_bundle(parse_group_spec(spec)) for spec in specs)
     got = generalized_product_graph(b1.graph, b1.weights, b2.graph, b2.weights)
-    want = dict_join(b1, b2)
-    assert got.labels == want.labels and graphs_equal_labeled(got, want)
-    assert got.edge_count == want.edge_count > 0
+    assert got.edge_count > 0
+    orders = b1.group.element_orders
+    if sum(orders) + sum(b2.group.element_orders) < 10**6:
+        want = dict_join(b1, b2)
+        assert got.labels == want.labels and graphs_equal_labeled(got, want)
+        return
+    # The dict join would hold every weight cell as a dict item (8.9 M for
+    # C4000), so a band of left elements, one of each order, is checked.
+    band = {}
+    for x, o in enumerate(orders):
+        band.setdefault(o, x)
+    want = dense_band_rows(b1.weights, b2.weights, sorted(band.values()))
+    assert {x: got._rows[x] for x in want} == want
 
 
 def test_power_join_of_trivial_groups():
