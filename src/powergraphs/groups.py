@@ -124,9 +124,11 @@ class FiniteGroup:
         return out
 
     def is_abelian(self) -> bool:
-        # Each row against its column; zip builds one column tuple at a time.
+        # A group is abelian iff its generators commute pairwise; there are
+        # at most log2 n of them, and the order-1 group has none.
         t = self.table
-        return all(map(operator.eq, map(tuple, t), zip(*t)))
+        gens = _generators(t, self.identity)
+        return all(t[a][b] == t[b][a] for a in gens for b in gens)
 
 
 def group_from_cayley_table(table, name: str = "G") -> FiniteGroup:
@@ -312,23 +314,19 @@ def load_cayley_table(path: str | Path) -> FiniteGroup:
     path = Path(path)
     # utf-8-sig also drops one leading byte-order mark.  Text mode ends lines
     # at \n, \r\n and \r only; splitlines() would also end them at \x0c or U+2028.
-    with path.open(encoding="utf-8-sig") as file:
+    # A byte that is not UTF-8 is read as a lone surrogate, so the line it is
+    # on is named as the text layer counts it.
+    with path.open(encoding="utf-8-sig", errors="surrogateescape") as file:
         def lines():
-            lineno = 0
-            try:
-                for lineno, line in enumerate(file, start=1):
-                    if (text := line.strip()) and not text.startswith("#"):
-                        yield lineno, text
-            except UnicodeDecodeError as exc:
-                # The reader decodes 8 KB at a time and fails on the chunk that
-                # ends line lineno + 1: the bad byte's line is that one plus the
-                # line ends before it in the chunk.  The reader holds back a \r
-                # that ends a chunk, so where lines end in a lone \r and one
-                # falls just before the chunk, the count is one short.
-                before = exc.object[:exc.start]
-                lineno += 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
-                raise ValueError(f"{path}:{lineno}: not UTF-8 text "
-                                 f"({exc.reason}, byte {exc.object[exc.start]:#04x})") from None
+            for lineno, line in enumerate(file, start=1):
+                if not line.isascii():
+                    try:
+                        line.encode("utf-8", "surrogateescape").decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise ValueError(f"{path}:{lineno}: not UTF-8 text "
+                                         f"({exc.reason}, byte {exc.object[exc.start]:#04x})") from None
+                if (text := line.strip()) and not text.startswith("#"):
+                    yield lineno, text
 
         data = lines()
         header_line, header = next(data, (0, None))

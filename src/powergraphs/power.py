@@ -13,7 +13,7 @@ Each row is built from its cyclic subgroup's walk when it is read.
 """
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import SimpleGraph
 from .groups import FiniteGroup
@@ -49,8 +49,7 @@ class PowerWeights(Sequence):
         return map(self.__getitem__, range(len(self)))
 
 
-@dataclass(frozen=True)
-class PowerGraphBundle:
+class PowerGraphBundle(NamedTuple):
     """A group together with its power graph and weight table."""
 
     group: FiniteGroup

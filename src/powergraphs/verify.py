@@ -20,7 +20,7 @@ Failures never raise; they land in the report with a counterexample dump.
 
 import random
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import graphs
 from .graphs import SimpleGraph, are_isomorphic, graphs_equal_labeled, has_universal_vertex
@@ -40,18 +40,20 @@ FAMILY_SPECS = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9", "C10",
                 "C11", "C12", "C2xC2", "C2xC4", "D3", "D4", "D5", "Q8", "S3", "S4")
 
 
-@dataclass
-class InstanceResult:
+class InstanceResult(NamedTuple):
     subject: str
     passed: bool
     detail: str = ""
 
 
-@dataclass
 class VerificationReport:
-    claim: str
-    instances: list[InstanceResult] = field(default_factory=list)
-    wall_time: float = 0.0
+    """One claim's instances and the wall time spent on them; verify_all adds to both."""
+
+    def __init__(self, claim: str, instances: list[InstanceResult] | None = None,
+                 wall_time: float = 0.0):
+        self.claim = claim
+        self.instances = [] if instances is None else instances
+        self.wall_time = wall_time
 
     @property
     def passed(self) -> bool:

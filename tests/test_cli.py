@@ -458,3 +458,19 @@ def test_closed_stdout_ends_quietly():
         err = proc.stderr.read()
     assert proc.returncode == -signal.SIGPIPE
     assert err == b""
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # Every command pays for importing the CLI first.  dataclasses would pull
+    # in inspect, ast, dis and tokenize, which nothing in the package uses.
+    # Only the modules new since the snapshot count: site may preload others.
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "before = set(sys.modules)\n"
+            "import powergraphs.cli\n"
+            "print(*sorted(set(sys.modules) - before))\n")
+    done = subprocess.run([sys.executable, "-I", "-c", code, str(Path(powergraphs.__file__).parents[1])],
+                          capture_output=True, text=True, check=True)
+    loaded = set(done.stdout.split())
+    assert "powergraphs.cli" in loaded
+    assert sorted(loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}) == []

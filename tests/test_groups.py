@@ -686,6 +686,25 @@ def test_load_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
     path.write_bytes(b"2\n0 1\n1 0\n# \xe2\x82")
     with pytest.raises(ValueError, match=r":4: not UTF-8 text \(unexpected end of data, byte 0xe2\)$"):
         load_cayley_table(path)
+    # A bad byte is named when its line is read, after a fault on an earlier line.
+    path.write_bytes(b"2\n0 1 2\n\xff 0\n")
+    with pytest.raises(ValueError, match=r":2: expected 2 entries, got 3$"):
+        load_cayley_table(path)
+
+
+def test_load_names_the_line_of_a_byte_after_a_lone_cr_at_a_chunk_end(tmp_path):
+    # The text reader decodes 8 KB at a time and holds back a \r that ends a
+    # chunk, to see whether \n follows.  The leading comment's width puts the
+    # header's \r at offset 8191, the first chunk's last byte; a bad byte in
+    # any of the next three bytes is on the first row, line 3.
+    path = tmp_path / "c3.tbl"
+    data = b"#" * 8189 + b"\r3\r0 1 2\r1 2 0\r2 0 1\r"
+    assert data.index(b"\r3\r") + 2 == 8191
+    for at in (8192, 8193, 8194):
+        path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+        with pytest.raises(ValueError) as info:
+            load_cayley_table(path)
+        assert str(info.value) == f"{path}:3: not UTF-8 text (invalid start byte, byte 0xff)"
 
 
 def test_load_rejects_bad_header(tmp_path):

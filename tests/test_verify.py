@@ -19,6 +19,7 @@ from powergraphs import (
     group_from_cayley_table,
     has_universal_vertex,
     normal_product_graph,
+    parse_group_spec,
     power_graph,
     power_graph_bundle,
     power_weights,
@@ -344,6 +345,7 @@ def dicyclic(n):
 
 def test_is_abelian_agrees_with_the_pairwise_check():
     rng = random.Random(0)
+    # The family starts at C1, which has no generators.
     groups = family_groups() + [group_from_cayley_table(dicyclic(3), "Dic3"),
                                 group_from_cayley_table(dicyclic(4), "Q16")]
     for g in (groups[-1], direct_product(cyclic(3), cyclic(4))):
@@ -353,10 +355,12 @@ def test_is_abelian_agrees_with_the_pairwise_check():
             for j, v in enumerate(row):
                 table[perm[i]][perm[j]] = perm[v]
         groups.append(group_from_cayley_table(table, f"relabelled {g.name}"))
+    groups += map(parse_group_spec, ("D4xC3", "Q8xC6", "S3xS3", "C2xC2xC2"))
     verdicts = {g.name: g.is_abelian() for g in groups}
     assert verdicts == {g.name: all(row[j] == g.table[j][i] for i, row in enumerate(g.table)
                                     for j in range(g.order)) for g in groups}
     assert set(verdicts.values()) == {True, False}
+    assert verdicts["C1"] and verdicts["C2xC2xC2"] and not verdicts["S3xS3"]
 
 
 def universal_vertices(g):
