@@ -26,12 +26,37 @@ def _bits(row: int) -> bytes:
     return bin(row)[:1:-1].encode().translate(_DIGIT_BITS)
 
 
-def _upper_masks(rows: list[int]) -> Iterator[tuple[int, bytes]]:
-    """(u, mask) for each row u with a bit above u: byte i of mask is 1 iff u ~ u + 1 + i,
-    so compress(items[u + 1:], mask) selects the items of u's neighbours above u."""
-    for u, row in enumerate(rows):
-        if above := row >> u + 1:
-            yield u, _bits(above)
+def _upper_items(rows: list[int], items: list) -> Iterator[tuple[object, Iterable]]:
+    """(items[u], the items of u's neighbours above u) for each row u with a bit above u.
+
+    Closed twins, vertices with equal closed rows row | 1 << u, share one
+    selection: the first twin of a class selects its neighbours above
+    itself, each later twin is one of them and takes the tail after itself,
+    and the last twin drops it.  A first pass keys each vertex by the hash
+    of its closed row, so no second copy of the rows is held; a vertex whose
+    hash no other has selects by its own bits.  Shared selections are kept
+    under their exact closed row, so a collision costs time, never a wrong line.
+    """
+    hashes = [hash(row | 1 << u) for u, row in enumerate(rows)]
+    count = Counter(hashes)
+    last = dict(zip(hashes, range(len(rows))))
+    shared = {}
+    for u, (row, h) in enumerate(zip(rows, hashes)):
+        above = row >> u + 1
+        if count[h] == 1:
+            if above:
+                yield items[u], compress(items[u + 1:], _bits(above))
+            continue
+        closed = row | 1 << u
+        selection = shared.get(closed)
+        if selection is None:
+            selection = shared[closed] = list(compress(items[u + 1:], _bits(above)))
+        else:
+            selection = selection[len(selection) - above.bit_count():]
+        if u == last[h]:
+            del shared[closed]
+        if selection:
+            yield items[u], selection
 
 
 class SimpleGraph:
@@ -72,8 +97,8 @@ class SimpleGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Unordered edges as sorted (u, v) pairs with u < v."""
-        vertices = list(range(self.vertex_count))
-        return [(u, v) for u, mask in _upper_masks(self._rows) for v in compress(vertices[u + 1:], mask)]
+        # Items from one list of ints, so the pairs share n int objects.
+        return [(u, v) for u, above in _upper_items(self._rows, list(range(self.vertex_count))) for v in above]
 
     def degree_sequence(self) -> list[int]:
         return sorted(map(int.bit_count, self._rows))
@@ -145,7 +170,7 @@ def _search(a: list[list[int]], b: list[list[int]], rows_b: list[int],
 def _refine(adj: list[list[int]], color: list[int]) -> Iterator[tuple[list, list[int]]]:
     """Each round until stable: the sorted (signature, count) pairs, and the colors they rank."""
     while True:
-        sigs = [(c, tuple(sorted(color[u] for u in nbrs))) for c, nbrs in zip(color, adj)]
+        sigs = [(c, tuple(sorted(map(color.__getitem__, nbrs)))) for c, nbrs in zip(color, adj)]
         histogram = sorted(Counter(sigs).items())
         rank = {sig: c for c, (sig, _) in enumerate(histogram)}
         old, color = color, [rank[sig] for sig in sigs]
@@ -161,26 +186,26 @@ def export(g: SimpleGraph, fmt: str) -> str:
     dot lists isolated vertices and then edges; edgelist emits one
     "label_u,label_v" line per edge with the lines sorted; json holds the
     label array and index pairs [i, j] with i < j, sorted.  A row's bits
-    select its text from one string per vertex: no edge becomes a pair.
+    select its text from one string per vertex, and closed twins share one
+    selection: no edge becomes a pair.
     """
     if fmt == "json":
         names = list(map(str, range(g.vertex_count)))
-        pairs = ",".join(f"[{u}," + f"],[{u},".join(compress(names[u + 1:], mask)) + "]"
-                         for u, mask in _upper_masks(g._rows))
+        pairs = ",".join(f"[{u}," + f"],[{u},".join(above) + "]" for u, above in _upper_items(g._rows, names))
         return f'{{"vertices":{json.dumps(g.labels, separators=(",", ":"))},"edges":[{pairs}]}}'
     if fmt == "edgelist":
         lines = []
-        for u, mask in _upper_masks(g._rows):
-            lines += map((g.labels[u] + ",").__add__, compress(g.labels[u + 1:], mask))
+        for label, above in _upper_items(g._rows, g.labels):
+            lines += map((label + ",").__add__, above)
         lines.sort()
         return "\n".join(lines)
     if fmt == "dot":
         quoted = [f'"{_dot_quote(label)}"' for label in g.labels]
         lines = ["graph {"]
         lines += (f"  {q};" for q, row in zip(quoted, g._rows) if not row)
-        for u, mask in _upper_masks(g._rows):
-            head = f"  {quoted[u]} -- "
-            lines.append(head + f";\n{head}".join(compress(quoted[u + 1:], mask)) + ";")
+        for q, above in _upper_items(g._rows, quoted):
+            head = f"  {q} -- "
+            lines.append(head + f";\n{head}".join(above) + ";")
         lines.append("}")
         return "\n".join(lines)
     raise ValueError(f"unknown format {fmt!r}; expected one of {', '.join(EXPORT_FORMATS)}")

@@ -10,7 +10,7 @@ cartesian adjacency (elsewhere called the strong product).
 """
 
 from collections.abc import Callable
-from math import gcd
+from math import gcd, isqrt
 from operator import itemgetter, mul, or_
 
 from .graphs import SimpleGraph
@@ -186,44 +186,56 @@ def _power_rows(g1: FiniteGroup, g2: FiniteGroup) -> list[int]:
     powers y of x, so J is the mask of the cyclic subgroup K = <x>, and
     the key (c1, c2, m) names K: the x with that key, G[K], are K's
     generators.  The reverse row of y is then the OR of G[K] over every K
-    that holds y.  Both hold bit x itself, which is cleared.
+    that holds y, that is every K with <y> among its subgroups <x^t>, t
+    dividing |K|.  So G[K] is ORed into A[<x^t>] once per divisor t, and
+    row x is J[K] | A[K] without bit x.
     """
+    walks1 = g1.cyclic_subgroups.walks
     walks2, subgroup2, exponent2 = g2.cyclic_subgroups
     n2 = g2.order
     right = {}  # c2's masks R per (subgroup, d)
-    forward = [0] * (g1.order * n2)  # J[K] per generator x of K
-    above = [0] * len(forward)  # per y, the generators of the K that hold y; then row y
-    for walk1 in g1.cyclic_subgroups.walks:
+    index = {}  # K's index per key
+    joined, generators, powers = [], [], []  # J[K], G[K] and the x^t, t | |K|, of one generator x of K
+    subgroup = [0] * (g1.order * n2)  # K = <x> per x
+    divisors = {}  # per |K|
+    for s1, walk1 in enumerate(walks1):
         o1 = len(walk1)
-        left, joined, generators = {}, {}, {}  # c1's masks L per d; J and G per (subgroup, m)
+        left = {}  # c1's masks L per d
         # The generators of <c1> are the c1^k1 with k1 prime to o1.
         for k1, x1 in enumerate(walk1, 1):
             if gcd(k1, o1) > 1:
                 continue
             x = x1 * n2
-            for s2, k2 in zip(subgroup2, exponent2):
-                d = gcd(o1, len(walks2[s2]))
-                key = (s2, k2 * pow(k1, -1, d) % d)
-                if key not in joined:
+            for s2, k2, o2 in zip(subgroup2, exponent2, g2.element_orders):
+                d = gcd(o1, o2)
+                key = (s1, s2, k2 * pow(k1, -1, d) % d)
+                k = index.get(key)
+                if k is None:
+                    walk2 = walks2[s2]
                     if d not in left:
                         left[d] = _walk_masks(walk1, d, n2)
                     if (s2, d) not in right:
-                        right[s2, d] = _walk_masks(walks2[s2], d)
-                    masks, m = right[s2, d], key[1]
-                    joined[key] = sum(map(mul, left[d], [masks[r * m % d] for r in range(d)]))
-                    generators[key] = 0
-                forward[x] = joined[key]
-                generators[key] |= 1 << x
+                        right[s2, d] = _walk_masks(walk2, d)
+                    masks, m = right[s2, d], key[2]
+                    k = index[key] = len(joined)
+                    joined.append(sum(map(mul, left[d], [masks[r * m % d] for r in range(d)])))
+                    generators.append(0)
+                    order = o1 * o2 // d
+                    if order not in divisors:
+                        small = [t for t in range(1, isqrt(order) + 1) if order % t == 0]
+                        divisors[order] = small + [order // t for t in small if t * t < order]
+                    powers.append([walk1[(k1 * t - 1) % o1] * n2 + walk2[(k2 * t - 1) % o2]
+                                   for t in divisors[order]])
+                subgroup[x] = k
+                generators[k] |= 1 << x
                 x += 1
-        for key, own in joined.items():
-            gens = generators[key]
-            while own:
-                low = own & -own
-                above[low.bit_length() - 1] |= gens
-                own ^= low
-    for x, row in enumerate(forward):
-        above[x] = (row | above[x]) ^ 1 << x
-    return above
+    reverse = [0] * len(joined)  # A[K]
+    for gens, ys in zip(generators, powers):
+        for y in ys:
+            reverse[subgroup[y]] |= gens
+    rows = list(map(or_, joined, reverse))
+    # x is in <x> and generates it, so bit x is set on both sides.
+    return [rows[k] ^ 1 << x for x, k in enumerate(subgroup)]
 
 
 def _walk_masks(walk: list[int], d: int, scale: int = 1) -> list[int]:
