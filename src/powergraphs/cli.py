@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success or verified, 1 semantic negative (graphs not
-isomorphic, verification failure), 2 usage or input error.  Results go to
-standard output, diagnostics to standard error.
+isomorphic, verification failure), 2 usage or input error, or out of
+memory.  Results go to standard output, diagnostics to standard error.
 """
 
 import argparse
@@ -136,7 +136,8 @@ def _cmd_product(args: argparse.Namespace) -> int:
 def _cmd_verify_theorem(args: argparse.Namespace) -> int:
     g1 = parse_group_spec(args.spec1)
     g2 = parse_group_spec(args.spec2)
-    # P(G1 x G2) first: it enforces the order cap before the factors' weight tables are built.
+    # P(G1 x G2) first: direct_product refuses an over-cap product before
+    # either factor's power graph is built.
     pg = power_graph(direct_product(g1, g2))
     result = check_power_product_pair(power_graph_bundle(g1), power_graph_bundle(g2), pg)
     status = "PASS" if result.passed else "FAIL"
@@ -192,6 +193,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # Exit 1 would read as a failed check.
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

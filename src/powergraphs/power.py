@@ -13,6 +13,7 @@ Each row is built from its cyclic subgroup's walk when it is read.
 """
 
 from collections.abc import Iterator, Sequence
+from operator import or_
 from typing import NamedTuple
 
 from .graphs import SimpleGraph
@@ -63,34 +64,38 @@ def power_weights(g: FiniteGroup) -> PowerWeights:
 
 
 def power_graph_bundle(g: FiniteGroup) -> PowerGraphBundle:
-    return PowerGraphBundle(g, _graph(g), power_weights(g))
+    return PowerGraphBundle(g, power_graph(g), power_weights(g))
 
 
 def power_graph(g: FiniteGroup) -> SimpleGraph:
     """Undirected power graph of g: a ~ b iff one is a power of the other."""
-    return _graph(g)
-
-
-def _graph(g: FiniteGroup) -> SimpleGraph:
-    """The power graph from g's cyclic subgroups, one walk each.
-
-    Row x is <x> together with every generator of a cyclic subgroup that
-    holds x.
-    """
     walks, subgroup, _ = g.cyclic_subgroups
-    generators = [0] * len(walks)
+    # The powers of a generator are distinct, so summing their bits ORs them.
+    own = [sum(1 << x for x in walk) for walk in walks]
+    return SimpleGraph._of_rows(list(g.element_names), _subgroup_rows(own, walks, subgroup))
+
+
+def _subgroup_rows(own: list[int], members: list[list[int]], subgroup: list[int]) -> list[int]:
+    """Power-graph rows from the cyclic subgroups K of a group.
+
+    own[K] is K's mask, members[K] holds a generator of every subgroup of
+    K, and subgroup[x] is the K that x generates.  The arcs out of x are
+    its powers, own[<x>].  y is a power of x iff <y> lies in <x>, so the
+    arcs into x come from the generators G[K] of every K that holds <x>,
+    and all of K's generators share that part A[K].  Each K ORs G[K] into
+    A[<y>] for each y in members[K], and row x is own[<x>] | A[<x>]
+    without bit x.
+    """
+    generators = [0] * len(own)  # G[K]
     for x, s in enumerate(subgroup):
         generators[s] |= 1 << x
-    own = []  # each subgroup's elements
-    above = [0] * g.order  # the generators of the cyclic subgroups that hold x
-    for walk, mask in zip(walks, generators):
-        # The powers of a generator are distinct, so summing their bits ORs them.
-        own.append(sum(1 << x for x in walk))
-        for x in walk:
-            above[x] |= mask
+    above = [0] * len(own)  # A[K]
+    for gens, ys in zip(generators, members):
+        for y in ys:
+            above[subgroup[y]] |= gens
+    rows = list(map(or_, own, above))
     # x is in <x> and generates it, so bit x is set on both sides.
-    return SimpleGraph._of_rows(list(g.element_names),
-                                [(own[s] | gens) ^ (1 << x) for x, (s, gens) in enumerate(zip(subgroup, above))])
+    return [rows[s] ^ 1 << x for x, s in enumerate(subgroup)]
 
 
 def exponent_set_window(g: FiniteGroup, a: int, b: int, bound: int) -> set[int]:

@@ -15,7 +15,7 @@ from operator import itemgetter, mul, or_
 
 from .graphs import SimpleGraph
 from .groups import FiniteGroup
-from .power import PowerWeights
+from .power import PowerWeights, _subgroup_rows
 from .progressions import APPair, SENTINEL, WeightTable, aps_intersect_positively
 
 DEFAULT_SIZE_CAP = 10000
@@ -184,18 +184,15 @@ def _power_rows(g1: FiniteGroup, g2: FiniteGroup) -> list[int]:
     start-residue masks L[r] (bit h1 * n2 for each h1 = c1^u1, u1 = r mod
     d) with c2's masks R[r * m mod d] (bit h2).  Its arcs x -> y are the
     powers y of x, so J is the mask of the cyclic subgroup K = <x>, and
-    the key (c1, c2, m) names K: the x with that key, G[K], are K's
-    generators.  The reverse row of y is then the OR of G[K] over every K
-    that holds y, that is every K with <y> among its subgroups <x^t>, t
-    dividing |K|.  So G[K] is ORed into A[<x^t>] once per divisor t, and
-    row x is J[K] | A[K] without bit x.
+    the key (c1, c2, m) names K.  The x^t, t dividing |K|, generate K's
+    subgroups, and power._subgroup_rows makes the rows.
     """
     walks1 = g1.cyclic_subgroups.walks
     walks2, subgroup2, exponent2 = g2.cyclic_subgroups
     n2 = g2.order
     right = {}  # c2's masks R per (subgroup, d)
     index = {}  # K's index per key
-    joined, generators, powers = [], [], []  # J[K], G[K] and the x^t, t | |K|, of one generator x of K
+    joined, powers = [], []  # J[K] and the x^t, t | |K|, of one generator x of K
     subgroup = [0] * (g1.order * n2)  # K = <x> per x
     divisors = {}  # per |K|
     for s1, walk1 in enumerate(walks1):
@@ -219,7 +216,6 @@ def _power_rows(g1: FiniteGroup, g2: FiniteGroup) -> list[int]:
                     masks, m = right[s2, d], key[2]
                     k = index[key] = len(joined)
                     joined.append(sum(map(mul, left[d], [masks[r * m % d] for r in range(d)])))
-                    generators.append(0)
                     order = o1 * o2 // d
                     if order not in divisors:
                         small = [t for t in range(1, isqrt(order) + 1) if order % t == 0]
@@ -227,15 +223,8 @@ def _power_rows(g1: FiniteGroup, g2: FiniteGroup) -> list[int]:
                     powers.append([walk1[(k1 * t - 1) % o1] * n2 + walk2[(k2 * t - 1) % o2]
                                    for t in divisors[order]])
                 subgroup[x] = k
-                generators[k] |= 1 << x
                 x += 1
-    reverse = [0] * len(joined)  # A[K]
-    for gens, ys in zip(generators, powers):
-        for y in ys:
-            reverse[subgroup[y]] |= gens
-    rows = list(map(or_, joined, reverse))
-    # x is in <x> and generates it, so bit x is set on both sides.
-    return [rows[k] ^ 1 << x for x, k in enumerate(subgroup)]
+    return _subgroup_rows(joined, powers, subgroup)
 
 
 def _walk_masks(walk: list[int], d: int, scale: int = 1) -> list[int]:

@@ -371,6 +371,13 @@ def test_product_cap_checked_before_power_graphs(monkeypatch, capsys, kind):
     assert (code, out, err) == (2, "", "error: product on 12 vertices exceeds cap 10\n")
 
 
+def test_out_of_memory_exits_2(monkeypatch, capsys):
+    def exhaust(group):
+        raise MemoryError
+    monkeypatch.setattr("powergraphs.cli.power_graph", exhaust)
+    assert run(capsys, "build", "C6") == (2, "", "error: out of memory\n")
+
+
 def test_over_cap_product_builds_only_the_factor_tables(capsys):
     # The factors are built before the product is refused; C3000's rows are
     # slices sharing one set of int objects, about 69 MB of list slots.

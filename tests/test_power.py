@@ -25,6 +25,7 @@ from powergraphs import (
 )
 from powergraphs.groups import FiniteGroup
 from powergraphs.groupspec import parse_group_spec
+from powergraphs.power import _subgroup_rows
 from powergraphs.verify import family_groups
 
 
@@ -219,6 +220,18 @@ def test_power_graph_matches_arc_oracle_on_large_groups(spec):
     assert got.edge_count == want.edge_count
     assert graphs_equal_labeled(got, want)
     assert got.labels == want.labels
+
+
+def test_subgroup_rows_need_one_generator_per_subgroup():
+    """power_graph passes each cyclic subgroup's whole walk as its members;
+    the power join passes only the divisor powers x^t, t | o, one generator
+    of each subgroup.  The rows must not tell the two apart."""
+    groups = family_groups(144) + [parse_group_spec(spec) for spec in ("S5", "D1000", "C2000", "Q8xC125")]
+    for g in groups:
+        walks, subgroup, _ = g.cyclic_subgroups
+        own = [sum(1 << x for x in walk) for walk in walks]
+        divisors = [[walk[t - 1] for t in range(1, len(walk) + 1) if len(walk) % t == 0] for walk in walks]
+        assert _subgroup_rows(own, walks, subgroup) == _subgroup_rows(own, divisors, subgroup), g.name
 
 
 def test_bundle_walks_each_cyclic_subgroup_once(monkeypatch):
