@@ -1,9 +1,14 @@
-"""Finite groups as dense Cayley tables on element indices 0..n-1."""
+"""Finite groups on element indices 0..n-1, each with its Cayley table.
+
+Groups given as tables (Cayley files, S_n, Q8) walk their powers in the
+table.  Cyclic, dihedral and direct-product groups follow a rule, and build
+their table only when it is first read.
+"""
 
 import functools
 import itertools
 import operator
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 from typing import NamedTuple
 
@@ -60,21 +65,27 @@ class FiniteGroup:
     its input and keeps the table it is given, without copying it, so
     callers must not change that table afterwards; use
     group_from_cayley_table to validate (and copy) an untrusted table.
+    Cyclic, dihedral and product groups are _RuleGroups: they take their
+    identity, walks and commutativity from a rule, and build the table only
+    when it is first read.
     """
 
     def __init__(self, table: list[list[int]], name: str = "G",
                  element_names: list[str] | None = None):
-        self.order = len(table)
-        if self.order == 0:
-            raise InvalidOrder("a group has at least one element")
+        self._label(len(table), name, element_names)
         self.table = table
+        self.identity = self._find_identity()
+
+    def _label(self, order: int, name: str, element_names: list[str] | None) -> None:
+        self.order = order
+        if order == 0:
+            raise InvalidOrder("a group has at least one element")
         self.name = name
         if element_names is None:
-            element_names = [str(i) for i in range(self.order)]
-        if len(element_names) != self.order:
-            raise ValueError(f"got {len(element_names)} element names for order {self.order}")
+            element_names = [str(i) for i in range(order)]
+        if len(element_names) != order:
+            raise ValueError(f"got {len(element_names)} element names for order {order}")
         self.element_names = list(element_names)
-        self.identity = self._find_identity()
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
@@ -216,15 +227,118 @@ def _raise_first_violation(rows: list[list[int]]) -> None:
                         f"({i}*{j})*{k} = {rows[tij][k]} but {i}*({j}*{k}) = {ti[tj[k]]}")
 
 
+class _RuleGroup(FiniteGroup):
+    """A group whose identity, walks and commutativity follow from a rule.
+
+    Power graphs, weights and products read only those, so the table is
+    built by _table() when it is first read: by the brute-force exponent
+    check, or by a caller.
+    """
+
+    def __init__(self, order: int, name: str, element_names: list[str] | None, identity: int):
+        self._label(order, name, element_names)
+        self.identity = identity
+
+    @functools.cached_property
+    def table(self) -> list[list[int]]:
+        return self._table()
+
+
+def _multiples(a: int, n: int) -> list[int]:
+    """[a, 2a, ..., 0] mod n: the walk of r^a in a cyclic group of order n,
+    for n / gcd(a, n) steps."""
+    return list(map(n.__rmod__, range(a, a * (n // gcd(a, n)) + 1, a))) if a else [0]
+
+
+class _Cyclic(_RuleGroup):
+    def __init__(self, n: int):
+        super().__init__(n, f"C{n}", None, 0)
+
+    def powers(self, a: int) -> list[int]:
+        return _multiples(a, self.order)
+
+    def is_abelian(self) -> bool:
+        return True
+
+    def _table(self) -> list[list[int]]:
+        n = self.order
+        # Row i is (i + j) mod n over j: a slice of the indices listed twice.
+        twice = list(range(n)) * 2
+        return [twice[i:i + n] for i in range(n)]
+
+
+class _Dihedral(_RuleGroup):
+    def __init__(self, n: int):
+        names = [f"r{i}" for i in range(n)] + [f"s{i}" for i in range(n)]
+        super().__init__(2 * n, f"D{n}", names, 0)
+
+    def powers(self, a: int) -> list[int]:
+        # The rotations walk as in C_n; every reflection is an involution.
+        n = self.order // 2
+        return _multiples(a, n) if a < n else [a, 0]
+
+    def is_abelian(self) -> bool:
+        # D1 is C2 and D2 is C2 x C2; from D3 on, s*r = r^-1*s differs from r*s.
+        return self.order <= 4
+
+    def _table(self) -> list[list[int]]:
+        size = self.order
+        n = size // 2
+        # Row r^a lists r^(a+b) and then r^(a+b)*s over b, row r^a*s lists r^(a-b)*s
+        # and then r^(a-b): slices of each half's indices listed twice, forwards for
+        # a + b and backwards, from k = n-1-a, for a - b.
+        rot, ref = list(range(n)) * 2, list(range(n, size)) * 2
+        rot_back, ref_back = rot[::-1], ref[::-1]
+        table = [rot[a:a + n] + ref[a:a + n] for a in range(n)]
+        table += [ref_back[k:k + n] + rot_back[k:k + n] for k in reversed(range(n))]
+        return table
+
+
+class _DirectProduct(_RuleGroup):
+    def __init__(self, g1: FiniteGroup, g2: FiniteGroup, element_names: list[str]):
+        self.factors = g1, g2
+        self._walks = {}, {}  # x1 -> [x1^t * n2 over t], x2 -> [x2^t over t]
+        super().__init__(g1.order * g2.order, f"{g1.name}x{g2.name}", element_names,
+                         g1.identity * g2.order + g2.identity)
+
+    def powers(self, a: int) -> list[int]:
+        # (x1, x2)^t = (x1^t, x2^t): the factors' walks read in step, each
+        # repeated to lcm(o1, o2) steps.  Elements share their components,
+        # so each component's walk is kept once it is taken.
+        g1, g2 = self.factors
+        n2 = g2.order
+        x1, x2 = divmod(a, n2)
+        left, right = self._walks
+        walk1 = left.get(x1)
+        if walk1 is None:
+            walk1 = left[x1] = list(map(n2.__mul__, g1.powers(x1)))
+        walk2 = right.get(x2)
+        if walk2 is None:
+            walk2 = right[x2] = g2.powers(x2)
+        o = lcm(len(walk1), len(walk2))
+        return list(map(operator.add, walk1 * (o // len(walk1)), walk2 * (o // len(walk2))))
+
+    def is_abelian(self) -> bool:
+        g1, g2 = self.factors
+        return g1.is_abelian() and g2.is_abelian()
+
+    def _table(self) -> list[list[int]]:
+        g1, g2 = self.factors
+        n2 = g2.order
+        # Row (i1, i2) lists (i1*j1, i2*j2) over the columns (j1, j2) in index order,
+        # read from one list of the indices x1*n2 + x2 per x1, so rows share their ints.
+        blocks = [list(range(x, x + n2)) for x in range(0, self.order, n2)]
+        return [[b[x2] for x1 in t1 for b in (blocks[x1],) for x2 in t2]
+                for t1 in g1.table for t2 in g2.table]
+
+
 def cyclic(n: int) -> FiniteGroup:
-    """Cyclic group C_n under addition mod n."""
+    """Cyclic group C_n under addition mod n: element a is r^a."""
     if n < 1:
         raise InvalidOrder(f"cyclic group order must be >= 1, got {n}")
     if n > DEFAULT_ORDER_CAP:
         raise OrderOverflow(f"cyclic group order {n} exceeds cap {DEFAULT_ORDER_CAP}")
-    # Row i is (i + j) mod n over j: a slice of the indices listed twice.
-    twice = list(range(n)) * 2
-    return FiniteGroup([twice[i:i + n] for i in range(n)], name=f"C{n}")
+    return _Cyclic(n)
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -238,15 +352,7 @@ def dihedral(n: int) -> FiniteGroup:
     size = 2 * n
     if size > DEFAULT_ORDER_CAP:
         raise OrderOverflow(f"dihedral group order {size} exceeds cap {DEFAULT_ORDER_CAP}")
-    # Row r^a lists r^(a+b) and then r^(a+b)*s over b, row r^a*s lists r^(a-b)*s
-    # and then r^(a-b): slices of each half's indices listed twice, forwards for
-    # a + b and backwards, from k = n-1-a, for a - b.
-    rot, ref = list(range(n)) * 2, list(range(n, size)) * 2
-    rot_back, ref_back = rot[::-1], ref[::-1]
-    table = [rot[a:a + n] + ref[a:a + n] for a in range(n)]
-    table += [ref_back[k:k + n] + rot_back[k:k + n] for k in reversed(range(n))]
-    names = [f"r{i}" for i in range(n)] + [f"s{i}" for i in range(n)]
-    return FiniteGroup(table, name=f"D{n}", element_names=names)
+    return _Dihedral(n)
 
 
 def symmetric(n: int) -> FiniteGroup:
@@ -289,19 +395,14 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
 
     The pair (i, j) becomes index i*g2.order + j; power graphs and graph
     products built on the factors use the same encoding, so results can be
-    compared by labeled equality.
+    compared by labeled equality.  The product walks its factors' walks and
+    builds its table from theirs only when the table is read.
     """
-    n1, n2 = g1.order, g2.order
-    n = n1 * n2
+    n = g1.order * g2.order
     if n > DEFAULT_ORDER_CAP:
         raise OrderOverflow(f"product order {n} exceeds cap {DEFAULT_ORDER_CAP}")
-    # Row (i1, i2) lists (i1*j1, i2*j2) over the columns (j1, j2) in index order,
-    # read from one list of the indices x1*n2 + x2 per x1, so rows share their ints.
-    blocks = [list(range(x, x + n2)) for x in range(0, n, n2)]
-    table = [[b[x2] for x1 in t1 for b in (blocks[x1],) for x2 in t2]
-             for t1 in g1.table for t2 in g2.table]
     names = [f"({a},{b})" for a in g1.element_names for b in g2.element_names]
-    return FiniteGroup(table, name=f"{g1.name}x{g2.name}", element_names=names)
+    return _DirectProduct(g1, g2, names)
 
 
 def load_cayley_table(path: str | Path) -> FiniteGroup:

@@ -12,7 +12,9 @@ and verify-all's exponent-window claim read W; the power join does not.
 Each row is built from its cyclic subgroup's walk when it is read.
 """
 
+import functools
 from collections.abc import Iterator, Sequence
+from math import isqrt
 from operator import or_
 from typing import NamedTuple
 
@@ -72,7 +74,17 @@ def power_graph(g: FiniteGroup) -> SimpleGraph:
     walks, subgroup, _ = g.cyclic_subgroups
     # The powers of a generator are distinct, so summing their bits ORs them.
     own = [sum(1 << x for x in walk) for walk in walks]
-    return SimpleGraph._of_rows(list(g.element_names), _subgroup_rows(own, walks, subgroup))
+    # c^t, t dividing o, generates each subgroup of <c> once.
+    members = [[walk[t - 1] for t in _divisors(len(walk))] for walk in walks]
+    return SimpleGraph._of_rows(list(g.element_names), _subgroup_rows(own, members, subgroup))
+
+
+@functools.cache
+def _divisors(o: int) -> tuple[int, ...]:
+    """The divisors of o, those up to its square root first.  Element orders
+    are at most the order cap, which bounds the cache."""
+    small = [t for t in range(1, isqrt(o) + 1) if o % t == 0]
+    return (*small, *(o // t for t in small if t * t < o))
 
 
 def _subgroup_rows(own: list[int], members: list[list[int]], subgroup: list[int]) -> list[int]:

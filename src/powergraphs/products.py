@@ -10,12 +10,12 @@ cartesian adjacency (elsewhere called the strong product).
 """
 
 from collections.abc import Callable
-from math import gcd, isqrt
+from math import gcd
 from operator import itemgetter, mul, or_
 
 from .graphs import SimpleGraph
 from .groups import FiniteGroup
-from .power import PowerWeights, _subgroup_rows
+from .power import PowerWeights, _divisors, _subgroup_rows
 from .progressions import APPair, SENTINEL, WeightTable, aps_intersect_positively
 
 DEFAULT_SIZE_CAP = 10000
@@ -194,7 +194,6 @@ def _power_rows(g1: FiniteGroup, g2: FiniteGroup) -> list[int]:
     index = {}  # K's index per key
     joined, powers = [], []  # J[K] and the x^t, t | |K|, of one generator x of K
     subgroup = [0] * (g1.order * n2)  # K = <x> per x
-    divisors = {}  # per |K|
     for s1, walk1 in enumerate(walks1):
         o1 = len(walk1)
         left = {}  # c1's masks L per d
@@ -216,12 +215,8 @@ def _power_rows(g1: FiniteGroup, g2: FiniteGroup) -> list[int]:
                     masks, m = right[s2, d], key[2]
                     k = index[key] = len(joined)
                     joined.append(sum(map(mul, left[d], [masks[r * m % d] for r in range(d)])))
-                    order = o1 * o2 // d
-                    if order not in divisors:
-                        small = [t for t in range(1, isqrt(order) + 1) if order % t == 0]
-                        divisors[order] = small + [order // t for t in small if t * t < order]
                     powers.append([walk1[(k1 * t - 1) % o1] * n2 + walk2[(k2 * t - 1) % o2]
-                                   for t in divisors[order]])
+                                   for t in _divisors(o1 * o2 // d)])
                 subgroup[x] = k
                 x += 1
     return _subgroup_rows(joined, powers, subgroup)

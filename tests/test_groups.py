@@ -24,13 +24,14 @@ from powergraphs import (
     direct_product,
     group_from_cayley_table,
     load_cayley_table,
+    power_graph,
     power_weights,
     quaternion8,
     symmetric,
 )
 from powergraphs.groups import _generators
 from powergraphs.groupspec import parse_group_spec
-from powergraphs.verify import family_groups
+from powergraphs.verify import FAMILY_SPECS, family_groups
 
 # Latin square whose only identity-shaped row (row 0) fails columnwise,
 # so there is no two-sided identity.
@@ -179,13 +180,18 @@ def relabel_table(table, perm):
     return out
 
 
-def relabelled(g, rng):
-    """g's table under a random relabelling that moves the identity off index 0."""
+def random_relabelling(g, rng):
+    """A random permutation of g's elements that moves the identity off index 0."""
     perm = rng.sample(range(g.order), g.order)
     if g.order > 1 and perm[g.identity] == 0:
         other = (g.identity + 1) % g.order
         perm[g.identity], perm[other] = perm[other], perm[g.identity]
-    return relabel_table(g.table, perm)
+    return perm
+
+
+def relabelled(g, rng):
+    """g's table under a random relabelling that moves the identity off index 0."""
+    return relabel_table(g.table, random_relabelling(g, rng))
 
 
 def oracle_family():
@@ -611,15 +617,40 @@ def test_direct_product_is_componentwise():
 def test_direct_product_rows_share_their_ints():
     c2_5 = reduce(direct_product, [cyclic(2)] * 5)
     c32 = cyclic(32)
+    g = direct_product(c32, c2_5)
+    # Each table is built when first read: the factors' before the window.
+    assert c32.table and c2_5.table
     tracemalloc.start()
     try:
-        g = direct_product(c32, c2_5)
+        assert len(g.table) == 1024
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert g.order == 1024
     # 1 M cells: about 8.8 MiB of list slots; a new int per cell took 32.7 MiB.
     assert peak < 16 * 2**20, peak
+
+
+@pytest.mark.parametrize("spec", [*FAMILY_SPECS, "Q8xC6xS3", "D4xC3xQ8", "x".join(["C2"] * 6), "D1", "C1xD3"])
+def test_rules_match_the_table(spec):
+    """Cyclic, dihedral and product groups take their walks, identity and
+    commutativity from a rule, and build their table only when it is read;
+    each must equal what that table gives."""
+    g = parse_group_spec(spec)
+    # What the power graph and stats read builds no table.
+    power_graph(g), g.element_orders, g.is_abelian()
+    assert ("table" in vars(g)) == (spec in ("Q8", "S3", "S4")), spec
+    t = g.table
+    assert g.table is t
+    n = g.order
+    e = next(x for x in range(n) if t[x] == list(range(n)) and [row[x] for row in t] == list(range(n)))
+    assert g.identity == e, spec
+    for a in range(n):
+        walk = [a]
+        while walk[-1] != e:
+            walk.append(t[walk[-1]][a])
+        assert g.powers(a) == walk, (spec, a)
+    assert g.is_abelian() == all(t[a][b] == t[b][a] for a in range(n) for b in range(n)), spec
 
 
 def test_direct_product_overflow(monkeypatch):

@@ -23,7 +23,6 @@ from powergraphs import (
     quaternion8,
     symmetric,
 )
-from powergraphs.groups import FiniteGroup
 from powergraphs.groupspec import parse_group_spec
 from powergraphs.power import _subgroup_rows
 from powergraphs.verify import family_groups
@@ -223,9 +222,9 @@ def test_power_graph_matches_arc_oracle_on_large_groups(spec):
 
 
 def test_subgroup_rows_need_one_generator_per_subgroup():
-    """power_graph passes each cyclic subgroup's whole walk as its members;
-    the power join passes only the divisor powers x^t, t | o, one generator
-    of each subgroup.  The rows must not tell the two apart."""
+    """power_graph and the power join pass only the divisor powers x^t,
+    t | o, one generator of each subgroup, as the members of a cyclic
+    subgroup; its whole walk must give the same rows."""
     groups = family_groups(144) + [parse_group_spec(spec) for spec in ("S5", "D1000", "C2000", "Q8xC125")]
     for g in groups:
         walks, subgroup, _ = g.cyclic_subgroups
@@ -235,24 +234,30 @@ def test_subgroup_rows_need_one_generator_per_subgroup():
 
 
 def test_bundle_walks_each_cyclic_subgroup_once(monkeypatch):
+    family = family_groups(36)
     walked = []
-    original = FiniteGroup.powers
 
-    def counted(self, a):
-        walked.append(a)
-        return original(self, a)
-    monkeypatch.setattr(FiniteGroup, "powers", counted)
-    for g in family_groups(36):
+    def counting(original):
+        def counted(self, a):
+            walked.append((self, a))
+            return original(self, a)
+        return counted
+    # Groups built by a rule walk by their own powers(), and a product walks
+    # its factors too; each walk is recorded with the group it walks in.
+    for cls in {c for g in family for c in type(g).__mro__ if "powers" in vars(c)}:
+        monkeypatch.setattr(cls, "powers", counting(vars(cls)["powers"]))
+    for g in family:
         walked.clear()
         bundle = power_graph_bundle(g)
         rows = list(bundle.weights)
         generalized_product_graph(bundle.graph, bundle.weights, bundle.graph, bundle.weights)
+        own = [a for group, a in walked if group is g]
         # One walk per cyclic subgroup, from the first of its generators.
         subgroups = {frozenset(powers(g, a)) for a in range(g.order)}
-        assert len(walked) == len(set(walked)) == len(subgroups), g.name
-        assert {frozenset(original(g, a)) for a in walked} == subgroups, g.name
+        assert len(own) == len(set(own)) == len(subgroups), g.name
+        assert {frozenset(powers(g, a)) for a in own} == subgroups, g.name
         assert all(a == min(x for x in range(g.order) if frozenset(powers(g, x)) == frozenset(powers(g, a)))
-                   for a in walked), g.name
+                   for a in own), g.name
         assert graphs_equal_labeled(bundle.graph, arc_power_graph(g))
         assert rows == [{x: APPair(t, len(walk)) for t, x in enumerate(walk, 1)}
                         for walk in (powers(g, a) for a in range(g.order))], g.name
