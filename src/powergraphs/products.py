@@ -131,44 +131,36 @@ def _forward_rows(wa: WeightTable, wb: WeightTable, nb: int) -> list[int]:
     """Row x = (g1, g2): bit y = (h1, h2) set iff y != x and the cells
     wa[g1][h1] and wb[g2][h2] meet in a positive integer.
 
-    Two positive-step progressions AP(t1, s1) and AP(t2, s2) meet iff
-    t1 = t2 mod d = gcd(s1, s2).  So the cells of each row are grouped by
-    step, each group's targets are split into a vector of d masks by start
-    residue, and a pair of groups adds the dot product of its left vector
-    (bit h1 * nb) with its right vector (bit h2).  Every pair (h1, h2) is in
-    one group pair and one residue at most, and a right mask is below
-    2**nb, so the terms share no bits and the sum is their union.  When a
-    step is 0 both groups are split by start instead, and each pair of
-    starts is decided once per call by aps_intersect_positively.
+    Each row's targets are grouped by cell.  A left cell p is decided once
+    per call against every distinct right cell, by aps_intersect_positively,
+    and meeting[p][g2] is the mask of the right targets h2 whose cells meet
+    p.  Row x adds, for each cell p of wa[g1], the product of p's left mask
+    (bit h1 * nb) and meeting[p][g2] (bits h2).  Every pair (h1, h2) lies
+    under one left cell, and a right mask is below 2**nb, so the terms share
+    no bits and the sum is their union.
     """
-    groups_a = [_by_step(row) for row in wa]
-    groups_b = [_by_step(row) for row in wb]
-    # The plan of a left step pairs it with every right group; the right
-    # vectors are shared by all plans, the left ones built per row.
-    plans, vectors, decided = {}, {}, {}
+    masks_b = [_cell_masks(row) for row in wb]
+    cells_b = {APPair(*q) for masks2 in masks_b for q in masks2}
+    meeting = {}
     rows = []
-    for g1, groups1 in enumerate(groups_a):
-        acc = [0] * nb
-        for s1, cells1 in groups1.items():
-            if s1 not in plans:
-                plans[s1] = _plan(s1, groups_b, vectors)
-            ds, joined, unjoined = plans[s1]
-            left = {d: _residue_masks(cells1, d, nb) for d in ds}
-            for g2, d, right in joined:
-                acc[g2] += sum(map(mul, left[d], right))
-            if unjoined:
-                starts1 = _start_masks(cells1, nb).items()
-            for g2, s2, starts2 in unjoined:
-                for t1, mask1 in starts1:
-                    for t2, mask2 in starts2:
-                        key = (t1, s1, t2, s2)
-                        if key not in decided:
-                            decided[key] = aps_intersect_positively(APPair(t1, s1), APPair(t2, s2))
-                        if decided[key]:
-                            acc[g2] += mask1 * mask2
-        # Meeting diagonal cells would give the arc x -> x: not a self-loop.
-        rows.extend(row & ~(1 << g1 * nb + g2) for g2, row in enumerate(acc))
+    for g1, row1 in enumerate(wa):
+        masks1 = _cell_masks(row1, nb)
+        for p in masks1:
+            if p not in meeting:
+                met = {q for q in cells_b if aps_intersect_positively(APPair(*p), q)}
+                meeting[p] = [sum(mask2 for q, mask2 in masks2.items() if q in met) for masks2 in masks_b]
+        for g2 in range(nb):
+            # Meeting diagonal cells would give the arc x -> x: not a self-loop.
+            rows.append(sum(mask1 * meeting[p][g2] for p, mask1 in masks1.items()) & ~(1 << g1 * nb + g2))
     return rows
+
+
+def _cell_masks(row: dict[int, APPair], scale: int = 1) -> dict[tuple[int, int], int]:
+    """Bit target * scale for each cell, by (start, step)."""
+    masks = {}
+    for target, (start, step) in row.items():
+        masks[start, step] = masks.get((start, step), 0) | 1 << target * scale
+    return masks
 
 
 def _power_rows(g1: FiniteGroup, g2: FiniteGroup) -> list[int]:
@@ -225,51 +217,6 @@ def _power_rows(g1: FiniteGroup, g2: FiniteGroup) -> list[int]:
 def _walk_masks(walk: list[int], d: int, scale: int = 1) -> list[int]:
     """Entry r: bit c^u * scale for each power c^u = walk[u - 1] with u = r mod d."""
     return [sum(1 << x * scale for x in walk[(r - 1) % d::d]) for r in range(d)]
-
-
-def _by_step(row: dict[int, APPair]) -> dict[int, dict[int, APPair]]:
-    """The row's cells split into one sub-row per step; a row with one step,
-    as every power row is, is its own sub-row."""
-    steps = set(map(itemgetter(1), row.values()))
-    if len(steps) < 2:
-        return dict.fromkeys(steps, row)
-    return {step: {target: cell for target, cell in row.items() if cell[1] == step} for step in steps}
-
-
-def _plan(s1: int, groups_b: list[dict[int, dict[int, APPair]]], vectors: dict) -> tuple[set[int], list, list]:
-    """For the left step s1: the gcds d > 0 it takes with the right steps,
-    the right groups it joins on residues as (g2, d, vector), and those it
-    meets with a zero step as (g2, s2, [(start, mask)]).  The right vectors
-    are memoised in vectors on (g2, s2, d)."""
-    ds, joined, unjoined = set(), [], []
-    for g2, groups2 in enumerate(groups_b):
-        for s2, cells2 in groups2.items():
-            d = gcd(s1, s2) if s1 and s2 else 0
-            key = (g2, s2, d)
-            if key not in vectors:
-                vectors[key] = _residue_masks(cells2, d) if d else list(_start_masks(cells2).items())
-            if d:
-                ds.add(d)
-                joined.append((g2, d, vectors[key]))
-            else:
-                unjoined.append((g2, s2, vectors[key]))
-    return ds, joined, unjoined
-
-
-def _residue_masks(cells: dict[int, APPair], d: int, scale: int = 1) -> list[int]:
-    """Entry r: bit target * scale for each cell whose start is r mod d."""
-    masks = [0] * d
-    for target, (start, _) in cells.items():
-        masks[start % d] |= 1 << target * scale
-    return masks
-
-
-def _start_masks(cells: dict[int, APPair], scale: int = 1) -> dict[int, int]:
-    """Bit target * scale for each cell, by start."""
-    masks = {}
-    for target, (start, _) in cells.items():
-        masks[start] = masks.get(start, 0) | 1 << target * scale
-    return masks
 
 
 def classical_weights(kind: str, g: SimpleGraph) -> WeightTable:

@@ -409,17 +409,20 @@ def symmetric(w):
 @pytest.fixture
 def product_calls(monkeypatch):
     """Records the tables and rows of each dict join the products module
-    runs and the groups and rows of each power join, and fails on any
-    intersection test of two positive-step cells: the residue join decides
-    those without one."""
-    calls = SimpleNamespace(joins=[], power_joins=[])
+    runs and the groups and rows of each power join.  decided holds the
+    cell pairs the last dict join tested for intersection, and the fixture
+    fails when one join tests a pair twice: the join decides each pair of
+    cells once."""
+    calls = SimpleNamespace(joins=[], power_joins=[], decided=set())
     join, power_join = powergraphs.products._forward_rows, powergraphs.products._power_rows
 
-    def zero_step_only(p, q):
-        assert p.step == 0 or q.step == 0, f"tested positive steps {p} and {q}"
+    def decided_once(p, q):
+        assert (p, q) not in calls.decided, f"decided {p} and {q} twice in one join"
+        calls.decided.add((p, q))
         return aps_intersect_positively(p, q)
 
     def recorded_join(wa, wb, nb):
+        calls.decided.clear()
         rows = join(wa, wb, nb)
         calls.joins.append((wa, wb, rows))
         return rows
@@ -428,7 +431,7 @@ def product_calls(monkeypatch):
         rows = power_join(g1, g2)
         calls.power_joins.append((g1, g2, rows))
         return rows
-    monkeypatch.setattr("powergraphs.products.aps_intersect_positively", zero_step_only)
+    monkeypatch.setattr("powergraphs.products.aps_intersect_positively", decided_once)
     monkeypatch.setattr("powergraphs.products._forward_rows", recorded_join)
     monkeypatch.setattr("powergraphs.products._power_rows", recorded_power_join)
     return calls
@@ -469,8 +472,10 @@ def assert_matches_dense(a, wa, b, wb, calls):
 
 def test_tables_equal_to_their_flip_take_one_join(product_calls):
     """Classical weight tables are their own flip, so their reverse rows
-    are the forward rows: one join builds the product.  One asymmetric
-    table brings in the second join, over the flipped tables."""
+    are the forward rows: one join builds the product.  Their rows hold at
+    most two distinct cells, the arc and the diagonal, so the join tests at
+    most 4 pairs of cells, whatever the graph sizes.  One asymmetric table
+    brings in the second join, over the flipped tables."""
     rng = random.Random(31)
     for _ in range(40):
         a, b = random_gnp(rng, rng.randint(1, 6)), random_gnp(rng, rng.randint(1, 6))
@@ -478,6 +483,15 @@ def test_tables_equal_to_their_flip_take_one_join(product_calls):
             _, left, right = classical_product(kind)
             assert_matches_dense(a, classical_weights(left, a), b, classical_weights(right, b), product_calls)
             assert len(product_calls.joins) == 1
+            assert len(product_calls.decided) <= 4
+    a, b = random_gnp(rng, 30), random_gnp(rng, 40)
+    for kind in CLASSICAL_KINDS:
+        constructor, left, right = classical_product(kind)
+        product_calls.joins.clear()
+        got = generalized_product_graph(a, classical_weights(left, a), b, classical_weights(right, b))
+        assert graphs_equal_labeled(got, constructor(a, b))
+        assert len(product_calls.joins) == 1
+        assert len(product_calls.decided) <= 4
     assert_matches_dense(k2(), classical_weights("normal", k2()), k2(), [{1: APPair(1, 1)}, {}], product_calls)
     assert len(product_calls.joins) == 2
 
@@ -496,6 +510,21 @@ def test_sparse_product_matches_dense_scan_on_random_tables(product_calls):
         a = SimpleGraph([str(v) for v in range(na)])
         b = SimpleGraph([str(v) for v in range(nb)])
         assert_matches_dense(a, random_weights(rng, na), b, random_weights(rng, nb), product_calls)
+
+
+def test_plain_tuple_cells_join_like_appairs():
+    """Cells given as plain (start, step) tuples give the same product as
+    the same tables written with APPair."""
+    assert generalized_product_graph(k2(), [{1: (1, 2)}, {0: (3, 0)}],
+                                     k2(), [{1: (1, 4)}, {}]).edges() == [(0, 3)]
+    rng = random.Random(53)
+    for _ in range(100):
+        na, nb = rng.randint(1, 5), rng.randint(1, 5)
+        a = SimpleGraph([str(v) for v in range(na)])
+        b = SimpleGraph([str(v) for v in range(nb)])
+        wa, wb = random_weights(rng, na), random_weights(rng, nb)
+        ta, tb = ([{t: tuple(cell) for t, cell in row.items()} for row in w] for w in (wa, wb))
+        assert generalized_product_graph(a, ta, b, tb).edges() == generalized_product_graph(a, wa, b, wb).edges()
 
 
 def test_sparse_product_matches_dense_scan_on_power_weights(product_calls):
@@ -596,7 +625,7 @@ def test_power_weights_shape_checked():
         generalized_product_graph(b.graph, b.weights, k2(), b.weights)
 
 
-def test_residue_join_edge_cases(product_calls):
+def test_dict_join_edge_cases(product_calls):
     pair = SimpleGraph(["0", "1"])
     # One arc (0,0) -> (1,1), that is 0 -> 3, per case, in both orientations.
     for p, q, meets in ((APPair(0, 3), APPair(3, 3), True),  # start 0 with a positive step
