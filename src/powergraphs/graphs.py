@@ -118,25 +118,59 @@ def has_universal_vertex(g: SimpleGraph) -> bool:
 def are_isomorphic(a: SimpleGraph, b: SimpleGraph) -> tuple[bool, list[int] | None]:
     """Exact isomorphism test with a witness permutation.
 
-    Individualization-refinement (McKay & Piperno, "Practical graph
-    isomorphism, II"): each search node refines each graph's colors until
-    stable, with equal signature counts in every round, and tries the map
-    pairing each color class in index order.  If it breaks an edge, the first
-    vertex of a's lowest non-singleton class gets a new color, as does, in
-    turn and in index order, each vertex of that class in b.  The witness is
-    deterministic.  Returns (True, perm) with b adjacency at (perm[u], perm[v])
-    matching a at (u, v), or (False, None).
+    The search runs on each graph's twin quotient.  Closed twins (equal
+    closed rows row | 1 << u) form cliques; among the other vertices, open
+    twins (equal rows) form independent sets, and a vertex with a closed
+    twin has no open twin.  Two classes are joined completely or not at
+    all, so the quotient has one vertex per class, coloured by its kind and
+    size; a twin-free graph is its own quotient, with one colour.  Graphs
+    whose colour multisets differ are not isomorphic.  Otherwise
+    individualization-refinement (McKay & Piperno, "Practical graph
+    isomorphism, II") starts from those colours: each search node refines
+    each quotient's colors until stable, with equal signature counts in
+    every round, and tries the map pairing each color class in index order.
+    If it breaks an edge, the first vertex of a's lowest non-singleton class
+    gets a new color, as does, in turn and in index order, each vertex of
+    that class in b.  A quotient witness pairs the members of each class in
+    index order.  The witness is deterministic.  Returns (True, perm) with b
+    adjacency at (perm[u], perm[v]) matching a at (u, v), or (False, None).
     """
     if a.vertex_count > DEFAULT_ISO_CAP or b.vertex_count > DEFAULT_ISO_CAP:
         raise TooLarge(f"isomorphism cap is {DEFAULT_ISO_CAP} vertices")
     if a.vertex_count != b.vertex_count or a.edge_count != b.edge_count:
         return False, None
-    vertices = list(range(a.vertex_count))
-    adj_a, adj_b = ([list(compress(vertices, _bits(row))) for row in g._rows] for g in (a, b))
-    # The root refinement compares the degree histograms.
-    perm = _search(adj_a, adj_b, b._rows, list(_refine(adj_a, [0] * a.vertex_count)),
-                   [0] * b.vertex_count)
-    return perm is not None, perm
+    (classes_a, color_a, adj_a), (classes_b, color_b, adj_b) = map(_twin_quotient, (a._rows, b._rows))
+    if sorted(color_a) != sorted(color_b):
+        return False, None
+    rows_b = [sum(map((1).__lshift__, nbrs)) for nbrs in adj_b]
+    # The root refinement compares the histograms of class colour and degree.
+    witness = _search(adj_a, adj_b, rows_b, list(_refine(adj_a, color_a)), color_b)
+    if witness is None:
+        return False, None
+    perm = [0] * a.vertex_count
+    for i, j in enumerate(witness):
+        for v, w in zip(classes_a[i], classes_b[j]):
+            perm[v] = w
+    return True, perm
+
+
+def _twin_quotient(rows: list[int]) -> tuple[list[list[int]], list[int], list[list[int]]]:
+    """The twin classes of a graph in order of their first vertex, each
+    class's colour 2 * size + (1 if closed), and the quotient's neighbour lists."""
+    closed = Counter(row | 1 << u for u, row in enumerate(rows))
+    classes = {}
+    for u, row in enumerate(rows):
+        key = (1, row | 1 << u) if closed[row | 1 << u] > 1 else (0, row)
+        classes.setdefault(key, []).append(u)
+    # Each neighbouring class is read off its first vertex, which every
+    # member of a joined class sees; a closed class's first vertex has no loop.
+    firsts = bytearray(len(rows))
+    for members in classes.values():
+        firsts[members[0]] = 1
+    indices = range(len(classes))
+    adj = [list(compress(indices, compress(_bits(rows[members[0]]), firsts))) for members in classes.values()]
+    color = [2 * len(members) + kind for (kind, _), members in classes.items()]
+    return list(classes.values()), color, adj
 
 
 def _search(a: list[list[int]], b: list[list[int]], rows_b: list[int],
@@ -151,7 +185,8 @@ def _search(a: list[list[int]], b: list[list[int]], rows_b: list[int],
     for v, w in zip(sorted(range(n), key=color_a.__getitem__),
                     sorted(range(n), key=color_b.__getitem__)):
         perm[v] = w
-    # Equal edge counts make an edge-preserving bijection an isomorphism.
+    # Equal degree histograms in the first round give equal edge counts, which
+    # make an edge-preserving bijection an isomorphism.
     if all(rows_b[perm[v]] >> perm[u] & 1 for v in range(n) for u in a[v]):
         return perm
     # A stable coloring of singletons pairs equal signatures, so it passed above.

@@ -11,7 +11,7 @@ cartesian adjacency (elsewhere called the strong product).
 
 from collections.abc import Callable
 from math import gcd
-from operator import itemgetter, mul, or_
+from operator import mul, or_
 
 from .graphs import SimpleGraph
 from .groups import FiniteGroup
@@ -247,6 +247,23 @@ def classical_weights(kind: str, g: SimpleGraph) -> WeightTable:
 def _check_weights(g: SimpleGraph, w: WeightTable, side: str) -> None:
     n = g.vertex_count
     # Power weight rows hold group elements and positive steps by construction.
-    if len(w) != n or not isinstance(w, PowerWeights) and any(
-            row and (min(row) < 0 or max(row) >= n or min(map(itemgetter(1), row.values())) < 0) for row in w):
-        raise ValueError(f"{side} weight table needs {n} rows with targets in 0..{n - 1} and steps >= 0")
+    if len(w) != n or not isinstance(w, PowerWeights) and not all(_row_is_valid(row, n) for row in w):
+        raise ValueError(f"{side} weight table needs {n} rows with targets in 0..{n - 1} "
+                         "and cells that are (start, step) pairs of ints with steps >= 0")
+
+
+def _row_is_valid(row: dict[int, APPair], n: int) -> bool:
+    """Targets in 0..n-1, each cell a (start, step) tuple or list of ints with step >= 0."""
+    if not row:
+        return True
+    try:
+        if min(row) < 0 or max(row) >= n:
+            return False
+    except TypeError:  # targets that do not compare
+        return False
+    try:
+        cells = set(row.values())
+    except TypeError:  # unhashable cells, such as lists, are checked one by one
+        cells = row.values()
+    return all(isinstance(cell, (tuple, list)) and len(cell) == 2 and type(cell[0]) is int
+               and type(cell[1]) is int and cell[1] >= 0 for cell in cells)

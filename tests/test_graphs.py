@@ -13,6 +13,7 @@ from powergraphs import (
     TooLarge,
     are_isomorphic,
     cyclic,
+    dihedral,
     export,
     generalized_product_graph,
     graph_from_json,
@@ -23,7 +24,7 @@ from powergraphs import (
     power_graph,
     power_graph_bundle,
 )
-from powergraphs.graphs import _upper_items
+from powergraphs.graphs import _twin_quotient, _upper_items
 from powergraphs.verify import FAMILY_SPECS
 
 
@@ -355,6 +356,99 @@ def test_iso_agrees_with_networkx():
         decided[iso] += 1
     assert decided[False] > 250
 
+
+
+def blown_up(g, classes):
+    """g with vertex u replaced by classes[u] = (size, clique): a clique or an
+    independent set of that size, each copy adjacent to every copy of u's neighbours."""
+    copies, edges, n = [], [], 0
+    for size, clique in classes:
+        members = list(range(n, n + size))
+        n += size
+        copies.append(members)
+        if clique:
+            edges += itertools.combinations(members, 2)
+    edges += [(x, y) for u, v in g.edges() for x in copies[u] for y in copies[v]]
+    return SimpleGraph(labels(n), edges)
+
+
+def test_iso_agrees_with_networkx_on_twin_classes():
+    """Half the pairs are relabellings, isomorphic by construction.  The rest
+    are edge-swapped copies, or blow-ups of an edge-swapped base with one
+    class size throughout, so that the edge counts and often the twin
+    classes agree and the search decides.  networkx decides those, with
+    could_be_isomorphic (degrees, triangles and cliques per vertex) first,
+    since VF2 is slow to refuse twin-rich pairs."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(17)
+    decided = {True: 0, False: 0}
+    searched = 0
+    for i in range(800):
+        base = random_gnp(rng, rng.randint(3, 8), rng.choice((0.3, 0.5, 0.7)))
+        size = rng.randint(1, 4)
+        classes = [(size if i % 4 == 3 else rng.randint(1, 4), rng.random() < 0.5)
+                   for _ in range(base.vertex_count)]
+        a = blown_up(base, classes)
+        n = a.vertex_count
+        if i % 2 == 0:
+            b = a
+        elif i % 4 == 1:
+            b = edge_swapped(rng, a, 20)
+        else:
+            b = blown_up(edge_swapped(rng, base, 20), classes)
+        b = relabel(b, shuffled(rng, n))
+        iso, witness = are_isomorphic(a, b)
+        if i % 2:
+            na, nb = nx.Graph(), nx.Graph()
+            for g, ng in ((a, na), (b, nb)):
+                ng.add_nodes_from(range(n))
+                ng.add_edges_from(g.edges())
+            assert iso == (nx.could_be_isomorphic(na, nb) and nx.is_isomorphic(na, nb))
+        else:
+            assert iso
+        assert iso == are_isomorphic(b, a)[0]
+        if iso:
+            check_witness(a, b, witness)
+        decided[iso] += 1
+        searched += not iso and sorted(_twin_quotient(a._rows)[1]) == sorted(_twin_quotient(b._rows)[1])
+    assert decided[False] > 150
+    assert searched > 20
+
+
+def test_iso_equal_degrees_different_twin_classes(monkeypatch):
+    """Each pair has equal degree sequences, but only one side has twins:
+    the class sizes decide it before any search."""
+    hexagon = cycle(6)
+    two_triangles = SimpleGraph(labels(6), [(s + i, s + j) for s in (0, 3) for i, j in ((0, 1), (1, 2), (0, 2))])
+    k33 = SimpleGraph(labels(6), [(u, v) for u in range(3) for v in range(3, 6)])
+    prism = SimpleGraph(labels(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+    monkeypatch.setattr("powergraphs.graphs._search", None)
+    for a, b in ((hexagon, two_triangles), (k33, prism)):
+        assert a.degree_sequence() == b.degree_sequence()
+        assert a.edge_count == b.edge_count
+        assert are_isomorphic(a, b) == (False, None)
+        assert are_isomorphic(b, a) == (False, None)
+
+
+@pytest.mark.parametrize("n", [9, 12])
+def test_iso_power_graph_of_dihedral_group_with_its_reflections_as_one_class(n):
+    g = power_graph(dihedral(n))
+    classes, color, _ = _twin_quotient(g._rows)
+    # The n reflections are open twins: the identity is their only neighbour.
+    assert 2 * n in color
+    assert [len(members) for members in classes if len(members) == n] == [n]
+    h = relabel(g, shuffled(random.Random(n), 2 * n))
+    iso, witness = are_isomorphic(g, h)
+    assert iso
+    check_witness(g, h, witness)
+
+
+def test_iso_witness_deterministic_on_twin_classes():
+    g = power_graph(parse_group_spec("D6xC4"))
+    h = relabel(g, shuffled(random.Random(8), g.vertex_count))
+    first = are_isomorphic(g, h)[1]
+    check_witness(g, h, first)
+    assert are_isomorphic(g, h)[1] == first
 
 def test_universal_vertex():
     assert has_universal_vertex(star(4))

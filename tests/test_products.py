@@ -625,6 +625,25 @@ def test_power_weights_shape_checked():
         generalized_product_graph(b.graph, b.weights, k2(), b.weights)
 
 
+
+@pytest.mark.parametrize("cell", [(1, 2, 3), (1,), None, (1.5, 0), (1, 0.5), [1, 0, 0], (1, -1), ([1], 0)])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_malformed_weight_cells_refused(cell, side):
+    good = [{1: APPair(1, 1)}, {0: APPair(1, 1)}]
+    bad = [{1: cell}, {0: APPair(1, 1)}]
+    wa, wb = (bad, good) if side == "left" else (good, bad)
+    with pytest.raises(ValueError, match=rf"^{side} weight table needs 2 rows with targets in 0\.\.1 "
+                                         r"and cells that are \(start, step\) pairs of ints"):
+        generalized_product_graph(k2(), wa, k2(), wb)
+
+
+def test_list_and_tuple_cells_pass_the_check():
+    tables = [[{1: APPair(1, 1)}, {0: APPair(2, 0)}], [{1: (1, 1)}, {0: (2, 0)}], [{1: [1, 1]}, {0: [2, 0]}]]
+    want = generalized_product_graph(k2(), tables[0], k2(), tables[0])
+    for w in tables[1:]:
+        assert graphs_equal_labeled(generalized_product_graph(k2(), w, k2(), w), want)
+
+
 def test_dict_join_edge_cases(product_calls):
     pair = SimpleGraph(["0", "1"])
     # One arc (0,0) -> (1,1), that is 0 -> 3, per case, in both orientations.
