@@ -253,13 +253,11 @@ def _check_weights(g: SimpleGraph, w: WeightTable, side: str) -> None:
 
 
 def _row_is_valid(row: dict[int, APPair], n: int) -> bool:
-    """Targets in 0..n-1, each cell a (start, step) tuple or list of ints with step >= 0."""
+    """Int targets in 0..n-1, each cell a (start, step) tuple or list of ints with step >= 0."""
     if not row:
         return True
-    try:
-        if min(row) < 0 or max(row) >= n:
-            return False
-    except TypeError:  # targets that do not compare
+    # type() and not isinstance(): a True target would be read as vertex 1.
+    if {*map(type, row)} != {int} or min(row) < 0 or max(row) >= n:
         return False
     try:
         cells = set(row.values())

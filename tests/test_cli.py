@@ -14,8 +14,9 @@ import pytest
 import powergraphs
 from powergraphs import (SENTINEL, SimpleGraph, cyclic, dihedral, direct_product, export,
                          power_graph, power_weights)
-from powergraphs.cli import entry_point, main
+from powergraphs.cli import build_parser, entry_point, main
 from powergraphs.products import PRODUCT_KINDS
+from gates import ROWS
 
 
 def run(capsys, *argv):
@@ -481,3 +482,14 @@ def test_cli_import_loads_no_introspection_modules():
     loaded = set(done.stdout.split())
     assert "powergraphs.cli" in loaded
     assert sorted(loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}) == []
+
+
+def test_gate_rows_stay_runnable():
+    # The gate script runs only where it is run by hand or in CI; a renamed
+    # subcommand or option, a repeated row or a bad bound fails here too.
+    parser = build_parser()
+    for argv, *_ in ROWS:
+        parser.parse_args([arg.format(work="work") for arg in argv])
+    assert len(set(ROWS)) == len(ROWS)
+    bounds = [bound for _, _, *row_bounds in ROWS for bound in row_bounds]
+    assert all(bound is None or type(bound) in (int, float) and bound > 0 for bound in bounds)

@@ -319,6 +319,12 @@ def test_weight_table_shape_checked():
     for row in ({2: APPair(1, 1)}, {-1: APPair(1, 1)}):
         with pytest.raises(ValueError, match="left weight table"):
             generalized_product_graph(k2(), [row, {}], k2(), direct)
+    # targets that are not ints: 1.0 would fail later as a shift, True read as vertex 1
+    for target in (1.0, True, "1"):
+        with pytest.raises(ValueError, match="left weight table"):
+            generalized_product_graph(k2(), [{target: APPair(1, 1)}, {}], k2(), direct)
+        with pytest.raises(ValueError, match="right weight table"):
+            generalized_product_graph(k2(), direct, k2(), [{target: APPair(1, 1)}, {}])
     # AP(3, -2) would be read as {3, 5, 7, ...} and meet AP(5, 0)
     negative, singleton = [{1: APPair(3, -2)}, {}], [{1: APPair(5, 0)}, {}]
     with pytest.raises(ValueError, match="left weight table .* steps >= 0"):
