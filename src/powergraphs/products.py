@@ -134,24 +134,33 @@ def _forward_rows(wa: WeightTable, wb: WeightTable, nb: int) -> list[int]:
     Each row's targets are grouped by cell.  A left cell p is decided once
     per call against every distinct right cell, by aps_intersect_positively,
     and meeting[p][g2] is the mask of the right targets h2 whose cells meet
-    p.  Row x adds, for each cell p of wa[g1], the product of p's left mask
-    (bit h1 * nb) and meeting[p][g2] (bits h2).  Every pair (h1, h2) lies
-    under one left cell, and a right mask is below 2**nb, so the terms share
-    no bits and the sum is their union.
+    p.  The nb rows of one left row g1 are built at once: each cell p of
+    wa[g1] gives one map, p's left mask (bit h1 * nb) times meeting[p][g2]
+    for every g2, and the maps are summed columnwise.  Every pair (h1, h2)
+    lies under one left cell, and a right mask is below 2**nb, so the terms
+    share no bits and the sum is their union.  The arc x -> x is not a
+    self-loop: when p covers g1 itself, that bit is split off p's mask and
+    multiplied by off[p][g2], meeting[p][g2] without bit g2, a copy built
+    once per cell.
     """
     masks_b = [_cell_masks(row) for row in wb]
     cells_b = {APPair(*q) for masks2 in masks_b for q in masks2}
-    meeting = {}
+    meeting, off = {}, {}
     rows = []
     for g1, row1 in enumerate(wa):
-        masks1 = _cell_masks(row1, nb)
-        for p in masks1:
+        own, terms = 1 << g1 * nb, []
+        for p, mask1 in _cell_masks(row1, nb).items():
             if p not in meeting:
                 met = {q for q in cells_b if aps_intersect_positively(APPair(*p), q)}
                 meeting[p] = [sum(mask2 for q, mask2 in masks2.items() if q in met) for masks2 in masks_b]
-        for g2 in range(nb):
-            # Meeting diagonal cells would give the arc x -> x: not a self-loop.
-            rows.append(sum(mask1 * meeting[p][g2] for p, mask1 in masks1.items()) & ~(1 << g1 * nb + g2))
+            if mask1 & own:
+                if p not in off:
+                    off[p] = [mask2 & ~(1 << g2) for g2, mask2 in enumerate(meeting[p])]
+                terms.append(map(own.__mul__, off[p]))
+                mask1 ^= own
+            if mask1:
+                terms.append(map(mask1.__mul__, meeting[p]))
+        rows += map(sum, zip(*terms)) if terms else [0] * nb
     return rows
 
 
@@ -253,7 +262,9 @@ def _check_weights(g: SimpleGraph, w: WeightTable, side: str) -> None:
 
 
 def _row_is_valid(row: dict[int, APPair], n: int) -> bool:
-    """Int targets in 0..n-1, each cell a (start, step) tuple or list of ints with step >= 0."""
+    """A dict with int targets in 0..n-1, each cell a (start, step) tuple or list of ints with step >= 0."""
+    if not isinstance(row, dict):
+        return False
     if not row:
         return True
     # type() and not isinstance(): a True target would be read as vertex 1.

@@ -23,6 +23,10 @@ def _passes(out, args):
     return ": PASS (" in out
 
 
+def _sweep_passes(out, args):
+    return out.endswith("\nresult: PASS\n")
+
+
 def _witness_maps_edges(out, args):
     """The witness maps file1's vertices one-to-one onto file2's, and edges onto edges."""
     a, b = (json.loads(Path(path).read_text()) for path in args[1:])
@@ -33,6 +37,7 @@ def _witness_maps_edges(out, args):
 
 # (argv with {work} for the input directory, check of stdout, max RSS in MB, max seconds)
 ROWS = (
+    (("verify-all", "--max-order", "144"), _sweep_passes, 40, 10),
     *((("verify-theorem", *pair.split()), _passes, None, None) for pair in (
         "S4 D21", "D10 D25", "D12 D21", "S4 C42", "C50 D10", "C20 D25", "C30 C40", "C20 C60", "Q8 C125")),
     *((("verify-theorem", *pair.split()), _passes, 150, 30) for pair in (

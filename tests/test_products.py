@@ -325,6 +325,12 @@ def test_weight_table_shape_checked():
             generalized_product_graph(k2(), [{target: APPair(1, 1)}, {}], k2(), direct)
         with pytest.raises(ValueError, match="right weight table"):
             generalized_product_graph(k2(), direct, k2(), [{target: APPair(1, 1)}, {}])
+    # rows that are not dicts: the join would read them with .items()
+    for row in (None, [], 0, "", {0, 1}, [(1, APPair(1, 1))]):
+        with pytest.raises(ValueError, match="left weight table"):
+            generalized_product_graph(k2(), [row, {}], k2(), direct)
+        with pytest.raises(ValueError, match="right weight table"):
+            generalized_product_graph(k2(), direct, k2(), [row, {}])
     # AP(3, -2) would be read as {3, 5, 7, ...} and meet AP(5, 0)
     negative, singleton = [{1: APPair(3, -2)}, {}], [{1: APPair(5, 0)}, {}]
     with pytest.raises(ValueError, match="left weight table .* steps >= 0"):
@@ -516,6 +522,32 @@ def test_sparse_product_matches_dense_scan_on_random_tables(product_calls):
         a = SimpleGraph([str(v) for v in range(na)])
         b = SimpleGraph([str(v) for v in range(nb)])
         assert_matches_dense(a, random_weights(rng, na), b, random_weights(rng, nb), product_calls)
+
+
+def pooled_weights(rng, n, pool):
+    """Rows whose cells come from a pool of three, so one cell covers
+    several targets, the row's own diagonal among them.  Some rows are
+    empty and some hold only the diagonal."""
+    rows = []
+    for g in range(n):
+        shape = rng.random()
+        if shape < 0.15:
+            rows.append({})
+        elif shape < 0.3:
+            rows.append({g: rng.choice(pool)})
+        else:
+            rows.append({h: rng.choice(pool) for h in range(n) if rng.random() < 0.6})
+    return rows
+
+
+def test_block_join_matches_dense_scan_at_mid_size(product_calls):
+    rng = random.Random(61)
+    sizes = [(1, 1), (1, 12), (14, 1), *((rng.randint(8, 14), rng.randint(8, 14)) for _ in range(12))]
+    for na, nb in sizes:
+        pool = [APPair(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(3)]
+        a = SimpleGraph([str(v) for v in range(na)])
+        b = SimpleGraph([str(v) for v in range(nb)])
+        assert_matches_dense(a, pooled_weights(rng, na, pool), b, pooled_weights(rng, nb, pool), product_calls)
 
 
 def test_plain_tuple_cells_join_like_appairs():
