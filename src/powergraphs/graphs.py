@@ -26,27 +26,22 @@ def _bits(row: int) -> bytes:
     return bin(row)[:1:-1].encode().translate(_DIGIT_BITS)
 
 
-def _upper_items(rows: list[int], items: list) -> Iterator[tuple[object, Iterable]]:
+def _upper_items(rows: list[int], items: list) -> Iterator[tuple[object, list]]:
     """(items[u], the items of u's neighbours above u) for each row u with a bit above u.
 
     Closed twins, vertices with equal closed rows row | 1 << u, share one
     selection: the first twin of a class selects its neighbours above
     itself, each later twin is one of them and takes the tail after itself,
-    and the last twin drops it.  A first pass keys each vertex by the hash
-    of its closed row, so no second copy of the rows is held; a vertex whose
-    hash no other has selects by its own bits.  Shared selections are kept
-    under their exact closed row, so a collision costs time, never a wrong line.
+    and the last twin drops it, so a vertex without a twin drops its own at
+    once.  A first pass keys each vertex by the hash of its closed row, so
+    no second copy of the rows is held.  Selections are kept under their
+    exact closed row, so a collision costs time, never a wrong line.
     """
     hashes = [hash(row | 1 << u) for u, row in enumerate(rows)]
-    count = Counter(hashes)
     last = dict(zip(hashes, range(len(rows))))
     shared = {}
     for u, (row, h) in enumerate(zip(rows, hashes)):
         above = row >> u + 1
-        if count[h] == 1:
-            if above:
-                yield items[u], compress(items[u + 1:], _bits(above))
-            continue
         closed = row | 1 << u
         selection = shared.get(closed)
         if selection is None:

@@ -13,7 +13,7 @@ Each row is built from its cyclic subgroup's walk when it is read.
 """
 
 import functools
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from math import isqrt
 from operator import or_
 from typing import NamedTuple
@@ -47,9 +47,6 @@ class PowerWeights(Sequence):
         if o not in self._cells:
             self._cells[o] = [APPair(t, o) for t in range(1, o + 1)]
         return dict(zip([walk[i % o] for i in range(k - 1, k * o, k)], self._cells[o]))
-
-    def __iter__(self) -> Iterator[dict[int, APPair]]:
-        return map(self.__getitem__, range(len(self)))
 
 
 class PowerGraphBundle(NamedTuple):

@@ -11,7 +11,7 @@ cartesian adjacency (elsewhere called the strong product).
 
 from collections.abc import Callable
 from math import gcd
-from operator import mul, or_
+from operator import add, mul, or_
 
 from .graphs import SimpleGraph
 from .groups import FiniteGroup
@@ -134,21 +134,22 @@ def _forward_rows(wa: WeightTable, wb: WeightTable, nb: int) -> list[int]:
     Each row's targets are grouped by cell.  A left cell p is decided once
     per call against every distinct right cell, by aps_intersect_positively,
     and meeting[p][g2] is the mask of the right targets h2 whose cells meet
-    p.  The nb rows of one left row g1 are built at once: each cell p of
-    wa[g1] gives one map, p's left mask (bit h1 * nb) times meeting[p][g2]
-    for every g2, and the maps are summed columnwise.  Every pair (h1, h2)
-    lies under one left cell, and a right mask is below 2**nb, so the terms
-    share no bits and the sum is their union.  The arc x -> x is not a
-    self-loop: when p covers g1 itself, that bit is split off p's mask and
-    multiplied by off[p][g2], meeting[p][g2] without bit g2, a copy built
-    once per cell.
+    p.  The nb rows of one left row g1 are built at once, as a block that
+    starts at nb zeros: each cell p of wa[g1] adds one map to it, p's left
+    mask (bit h1 * nb) times meeting[p][g2] for every g2.  Every pair
+    (h1, h2) lies under one left cell, and a right mask is below 2**nb, so
+    the terms share no bits and the sum is their union.  The block is a
+    list again after each cell, so no map nests in more than one other.
+    The arc x -> x is not a self-loop: when p covers g1 itself, that bit is
+    split off p's mask and multiplied by off[p][g2], meeting[p][g2] without
+    bit g2, a copy built once per cell.
     """
     masks_b = [_cell_masks(row) for row in wb]
     cells_b = {APPair(*q) for masks2 in masks_b for q in masks2}
     meeting, off = {}, {}
     rows = []
     for g1, row1 in enumerate(wa):
-        own, terms = 1 << g1 * nb, []
+        own, block = 1 << g1 * nb, [0] * nb
         for p, mask1 in _cell_masks(row1, nb).items():
             if p not in meeting:
                 met = {q for q in cells_b if aps_intersect_positively(APPair(*p), q)}
@@ -156,11 +157,11 @@ def _forward_rows(wa: WeightTable, wb: WeightTable, nb: int) -> list[int]:
             if mask1 & own:
                 if p not in off:
                     off[p] = [mask2 & ~(1 << g2) for g2, mask2 in enumerate(meeting[p])]
-                terms.append(map(own.__mul__, off[p]))
+                block = list(map(add, block, map(own.__mul__, off[p])))
                 mask1 ^= own
             if mask1:
-                terms.append(map(mask1.__mul__, meeting[p]))
-        rows += map(sum, zip(*terms)) if terms else [0] * nb
+                block = list(map(add, block, map(mask1.__mul__, meeting[p])))
+        rows += block
     return rows
 
 

@@ -20,6 +20,7 @@ Failures never raise; they land in the report with a counterexample dump.
 
 import random
 import time
+from itertools import compress
 from typing import NamedTuple
 
 from . import graphs
@@ -72,20 +73,17 @@ def family_groups(max_order: int = DEFAULT_MAX_ORDER) -> list[FiniteGroup]:
 def edge_set_difference(left: SimpleGraph, right: SimpleGraph) -> str:
     """Counterexample dump: the symmetric difference of the edge sets, labeled.
 
-    It is read off the XOR of the two graphs' rows, bits above u only, so
-    it takes memory in proportion to the difference, not to the graphs.
+    It is read off the XOR of the two graphs' rows, bits above u only, one
+    row's bits at a time through graphs._bits, so it takes memory in
+    proportion to the difference and one row, not to the graphs.
     """
     n = max(left.vertex_count, right.vertex_count)
     rows_left, rows_right = (g._rows + [0] * (n - g.vertex_count) for g in (left, right))
     only_left, only_right = [], []
     for u, (row_left, row_right) in enumerate(zip(rows_left, rows_right)):
-        diff = (row_left ^ row_right) >> u + 1
-        while diff:
-            low = diff & -diff
-            v = u + low.bit_length()
+        for v in compress(range(u + 1, n), graphs._bits((row_left ^ row_right) >> u + 1)):
             graph, pairs = (left, only_left) if row_left >> v & 1 else (right, only_right)
             pairs.append(f"{graph.labels[u]}--{graph.labels[v]}")
-            diff ^= low
     return f"only in left: {{{', '.join(only_left)}}}; only in right: {{{', '.join(only_right)}}}"
 
 

@@ -51,6 +51,8 @@ ROWS = (
     (("product", "generalized", "Q8", "C125", "--format", "dot"), None, 50, None),
     (("build", "C2000", "--format", "json"), None, 150, None),
     (("product", "generalized", "D50", "C100", "--format", "json"), None, 65, None),
+    # Twin-free at the cap: the export selects each row's neighbours once, for that row alone.
+    (("product", "cartesian", "D50", "C100", "--format", "json"), None, 60, None),
     (("stats", "cayley:{work}/c2000.tbl"), None, 80, None),
     (("stats", "cayley:{work}/c4000.tbl"), None, 180, None),
     (("product", "generalized", "C4000", "C2", "--format", "json"), None, 650, None),

@@ -711,3 +711,15 @@ def test_dict_join_edge_cases(product_calls):
                     and aps_intersect_positively(p, q)
                     for row1 in wa for p in row1.values() for row2 in wb for q in row2.values())
     assert wide > 0
+
+
+def test_dict_join_of_the_largest_in_cap_row():
+    """Row 0 of a 10,000-vertex left table holds 10,000 distinct cells, the
+    most one row can hold within the size cap, so one block takes 10,000
+    terms.  Against the right cell (1, 0), the singleton {1}, only target
+    1's cell (1, 0) meets: (0, 0) is the sentinel and (t, 0), t >= 2, holds
+    t alone.  So the product has the one edge 0 -- 1, whichever way it is read."""
+    n = powergraphs.products.DEFAULT_SIZE_CAP
+    wa = [{t: APPair(t, 0) for t in range(n)}] + [{} for _ in range(n - 1)]
+    got = generalized_product_graph(SimpleGraph(map(str, range(n))), wa, SimpleGraph(["0"]), [{0: APPair(1, 0)}])
+    assert got.edges() == [(0, 1)]

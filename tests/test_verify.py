@@ -2,6 +2,8 @@
 
 import random
 import tracemalloc
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -11,6 +13,7 @@ import powergraphs.verify
 from powergraphs import (
     APPair,
     SimpleGraph,
+    are_isomorphic,
     cartesian_product_graph,
     cyclic,
     direct_product,
@@ -397,3 +400,34 @@ def test_direct_and_normal_products_differ_from_the_power_graph():
         assert not has_universal_vertex(direct_product_graph(p1, p2)), subject
         # The normal product holds every edge of the power graph and more.
         assert set(pg.edges()) < set(normal_product_graph(p1, p2).edges()), subject
+
+
+def test_isomorphic_power_graphs_have_equal_order_histograms():
+    """Groups with isomorphic power graphs have the same number of elements
+    of each order (Cameron, J. Group Theory 13, 2010): checked on every
+    same-order pair of family products up to order 72 that iso calls isomorphic."""
+    family = family_groups()
+    products = [direct_product(g1, g2) for g1 in family for g2 in family if g1.order * g2.order <= 72]
+    graphs = list(map(power_graph, products))
+    pairs = [(i, j) for i, j in combinations(range(len(products)), 2) if products[i].order == products[j].order]
+    isomorphic = [(i, j) for i, j in pairs if are_isomorphic(graphs[i], graphs[j])[0]]
+    assert (len(products), len(pairs), len(isomorphic)) == (306, 1854, 273)
+    for i, j in isomorphic:
+        assert Counter(products[i].element_orders) == Counter(products[j].element_orders), \
+            f"{products[i].name} and {products[j].name}"
+
+
+def test_universal_vertex_beside_the_identity_iff_cyclic_or_generalised_quaternion():
+    """P(G) has a universal vertex other than the identity iff G is cyclic of
+    order at least 2 or generalised quaternion (Cameron & Ghosh, Discrete
+    Math. 311, 2011).  Dic_n is generalised quaternion iff n is a power of 2."""
+    quaternion = {"Q8", "Dic2", "Dic4", "Dic8"}
+    groups = family_groups() + [group_from_cayley_table(dicyclic(n), f"Dic{n}") for n in range(2, 13)]
+    seen = set()
+    for g in groups:
+        n = g.order
+        others = [u for u, row in enumerate(power_graph(g)._rows) if u != g.identity and row.bit_count() == n - 1]
+        cyclic_group = n >= 2 and max(g.element_orders) == n
+        assert bool(others) == (cyclic_group or g.name in quaternion), g.name
+        seen.add((bool(others), cyclic_group))
+    assert seen == {(True, True), (True, False), (False, False)}
