@@ -8,6 +8,7 @@ memory.  Results go to standard output, diagnostics to standard error.
 import argparse
 import signal
 import sys
+from collections import Counter
 from math import lcm
 from pathlib import Path
 
@@ -168,9 +169,7 @@ def _cmd_iso(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     group = parse_group_spec(args.spec)
     graph = power_graph(group)
-    order_counts: dict[int, int] = {}
-    for o in group.element_orders:
-        order_counts[o] = order_counts.get(o, 0) + 1
+    order_counts = Counter(group.element_orders)
     degrees = graph.degree_sequence()
     universal = degrees.count(graph.vertex_count - 1)
     print(f"group: {group.name}")

@@ -10,10 +10,11 @@ cartesian adjacency (elsewhere called the strong product).
 """
 
 from collections.abc import Callable
+from itertools import compress
 from math import gcd
 from operator import add, mul, or_
 
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, _bits
 from .groups import FiniteGroup
 from .power import PowerWeights, _divisors, _subgroup_rows
 from .progressions import APPair, SENTINEL, WeightTable, aps_intersect_positively
@@ -248,10 +249,8 @@ def classical_weights(kind: str, g: SimpleGraph) -> WeightTable:
     if kind not in _WEIGHT_CASES:
         raise ValueError(f"unknown weight kind {kind!r}; expected one of {', '.join(_WEIGHT_CASES)}")
     arc, diagonal = _WEIGHT_CASES[kind]
-    weights = [{} if diagonal == SENTINEL else {u: diagonal} for u in range(g.vertex_count)]
-    for u, v in g.edges():
-        weights[u][v] = weights[v][u] = arc
-    return weights
+    rows = (dict.fromkeys(compress(range(g.vertex_count), _bits(row)), arc) for row in g._rows)
+    return [cells if diagonal == SENTINEL else {u: diagonal} | cells for u, cells in enumerate(rows)]
 
 
 def _check_weights(g: SimpleGraph, w: WeightTable, side: str) -> None:

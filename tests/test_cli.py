@@ -17,18 +17,13 @@ from powergraphs import (SENTINEL, SimpleGraph, cyclic, dihedral, direct_product
 from powergraphs.cli import build_parser, entry_point, main
 from powergraphs.products import PRODUCT_KINDS
 from gates import ROWS
+from helpers import adjacency
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def adjacency(g):
-    """Adjacency test on g, built from one read of g.edges()."""
-    edges = set(g.edges())
-    return lambda u, v: (min(u, v), max(u, v)) in edges
 
 
 def write_graph(path, g):
@@ -259,6 +254,16 @@ def test_stats_c6(capsys):
         "power graph degrees: min 3, max 5\n"
         "universal vertices: 3\n"
         "has universal vertex: yes\n")
+
+
+@pytest.mark.parametrize("spec, orders", [
+    ("S4", "1^1 2^9 3^8 4^6"),
+    ("Q8xC21", "1^1 2^1 3^2 4^6 6^2 7^6 12^12 14^6 21^12 28^36 42^12 84^72"),
+])
+def test_stats_element_orders_with_several_orders(capsys, spec, orders):
+    code, out, _ = run(capsys, "stats", spec)
+    assert code == 0
+    assert f"\nelement orders: {orders}\n" in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -26,10 +26,7 @@ from powergraphs import (
 )
 from powergraphs.graphs import _twin_quotient, _upper_items
 from powergraphs.verify import FAMILY_SPECS
-
-
-def labels(n):
-    return [str(v) for v in range(n)]
+from helpers import adjacency, labels, random_gnp
 
 
 def relabel(g, perm):
@@ -55,21 +52,10 @@ def cycle(n):
     return SimpleGraph(labels(n), [(v, (v + 1) % n) for v in range(n)])
 
 
-def random_gnp(rng, n, p=0.5):
-    return SimpleGraph(labels(n), [(u, v) for u in range(n) for v in range(u + 1, n)
-                                   if rng.random() < p])
-
-
 def shuffled(rng, n):
     perm = list(range(n))
     rng.shuffle(perm)
     return perm
-
-
-def adjacency(g):
-    """Adjacency test on g, built from one read of g.edges()."""
-    edges = set(g.edges())
-    return lambda u, v: (min(u, v), max(u, v)) in edges
 
 
 def check_witness(a, b, perm):

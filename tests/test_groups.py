@@ -32,6 +32,7 @@ from powergraphs import (
 from powergraphs.groups import _generators
 from powergraphs.groupspec import parse_group_spec
 from powergraphs.verify import FAMILY_SPECS, family_groups
+from helpers import random_relabelling, relabel_table, write_table
 
 # Latin square whose only identity-shaped row (row 0) fails columnwise,
 # so there is no two-sided identity.
@@ -168,25 +169,6 @@ def is_group_by_scan(table):
         group_from_cayley_table(table)
     assert str(info.value) == f"({i}*{j})*{k} = {left} but {i}*({j}*{k}) = {right}"
     return False
-
-
-def relabel_table(table, perm):
-    """The table of the same operation on the elements renamed x -> perm[x]."""
-    n = len(table)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            out[perm[i]][perm[j]] = perm[table[i][j]]
-    return out
-
-
-def random_relabelling(g, rng):
-    """A random permutation of g's elements that moves the identity off index 0."""
-    perm = rng.sample(range(g.order), g.order)
-    if g.order > 1 and perm[g.identity] == 0:
-        other = (g.identity + 1) % g.order
-        perm[g.identity], perm[other] = perm[other], perm[g.identity]
-    return perm
 
 
 def relabelled(g, rng):
@@ -802,11 +784,6 @@ def test_load_rejects_non_integer_entry(tmp_path):
         with pytest.raises(ValueError) as info:
             load_cayley_table(path)
         assert str(info.value) == f"{path}{message}"
-
-
-def write_table(path, table, spell=str, sep=" "):
-    path.write_text(f"{len(table)}\n" + "".join(sep.join(map(spell, row)) + "\n" for row in table),
-                    encoding="utf-8")
 
 
 def test_load_reads_any_spelling_of_an_entry_as_its_index(tmp_path):

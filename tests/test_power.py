@@ -26,12 +26,7 @@ from powergraphs import (
 from powergraphs.groupspec import parse_group_spec
 from powergraphs.power import _subgroup_rows
 from powergraphs.verify import family_groups
-
-
-def adjacency(g):
-    """Adjacency test on g, built from one read of g.edges()."""
-    edges = set(g.edges())
-    return lambda u, v: (min(u, v), max(u, v)) in edges
+from helpers import adjacency
 
 
 def test_klein_power_graph_is_a_star():

@@ -33,16 +33,11 @@ from powergraphs.groupspec import parse_group_spec
 from powergraphs.power import PowerWeights
 from powergraphs.products import CLASSICAL_KINDS, classical_product
 from powergraphs.verify import RANDOM_TRIALS, check_classical_weights, family_groups
+from helpers import adjacency, labels, random_gnp
 
 
 def k2():
     return SimpleGraph(["0", "1"], [(0, 1)])
-
-
-def random_gnp(rng, n, p=0.5):
-    return SimpleGraph([str(v) for v in range(n)],
-                       [(u, v) for u in range(n) for v in range(u + 1, n)
-                        if rng.random() < p])
 
 
 def test_k2_product_trio():
@@ -70,12 +65,6 @@ def test_edge_count_identities():
         assert direct_product_graph(a, b).edge_count == 2 * ea * eb
         assert cartesian_product_graph(a, b).edge_count == va * eb + vb * ea
         assert normal_product_graph(a, b).edge_count == 2 * ea * eb + va * eb + vb * ea
-
-
-def adjacency(g):
-    """Adjacency test on g, built from one read of g.edges()."""
-    edges = set(g.edges())
-    return lambda u, v: (min(u, v), max(u, v)) in edges
 
 
 def by_rule(a, b, rule):
@@ -237,6 +226,21 @@ def test_unknown_weight_kind():
         classical_weights("tensor", k2())
 
 
+def test_classical_weights_match_the_edge_list_construction():
+    # Oracle: the diagonal cell, then one write per end of each edge of g.edges().
+    cells = {"direct": (APPair(1, 1), SENTINEL), "cartesian-left": (APPair(1, 0), APPair(1, 1)),
+             "cartesian-right": (APPair(2, 0), APPair(1, 1)), "normal": (APPair(1, 0), APPair(1, 1))}
+    rng = random.Random(32)
+    graphs = [power_graph(g) for g in family_groups()] + [SimpleGraph(["0"]), SimpleGraph(labels(9))]
+    graphs += [random_gnp(rng, rng.randint(1, 40), rng.random()) for _ in range(60)]
+    for kind, (arc, diagonal) in cells.items():
+        for g in graphs:
+            want = [{} if diagonal == SENTINEL else {u: diagonal} for u in range(g.vertex_count)]
+            for u, v in g.edges():
+                want[u][v] = want[v][u] = arc
+            assert classical_weights(kind, g) == want, (kind, g)
+
+
 def test_weighted_product_reproduces_classics():
     rng = random.Random(9)
     for _ in range(100):
@@ -299,7 +303,7 @@ def test_products_commute_up_to_isomorphism():
 
 def test_size_cap(monkeypatch):
     monkeypatch.setattr("powergraphs.products.DEFAULT_SIZE_CAP", 100)
-    big = SimpleGraph([str(v) for v in range(40)])
+    big = SimpleGraph(labels(40))
     blank = [{} for _ in range(40)]
     for build in (direct_product_graph, cartesian_product_graph, normal_product_graph):
         with pytest.raises(SizeCap, match="product on 1600 vertices exceeds cap 100"):
@@ -519,8 +523,8 @@ def test_sparse_product_matches_dense_scan_on_random_tables(product_calls):
     rng = random.Random(17)
     for _ in range(600):
         na, nb = rng.randint(1, 6), rng.randint(1, 6)
-        a = SimpleGraph([str(v) for v in range(na)])
-        b = SimpleGraph([str(v) for v in range(nb)])
+        a = SimpleGraph(labels(na))
+        b = SimpleGraph(labels(nb))
         assert_matches_dense(a, random_weights(rng, na), b, random_weights(rng, nb), product_calls)
 
 
@@ -545,8 +549,8 @@ def test_block_join_matches_dense_scan_at_mid_size(product_calls):
     sizes = [(1, 1), (1, 12), (14, 1), *((rng.randint(8, 14), rng.randint(8, 14)) for _ in range(12))]
     for na, nb in sizes:
         pool = [APPair(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(3)]
-        a = SimpleGraph([str(v) for v in range(na)])
-        b = SimpleGraph([str(v) for v in range(nb)])
+        a = SimpleGraph(labels(na))
+        b = SimpleGraph(labels(nb))
         assert_matches_dense(a, pooled_weights(rng, na, pool), b, pooled_weights(rng, nb, pool), product_calls)
 
 
@@ -558,8 +562,8 @@ def test_plain_tuple_cells_join_like_appairs():
     rng = random.Random(53)
     for _ in range(100):
         na, nb = rng.randint(1, 5), rng.randint(1, 5)
-        a = SimpleGraph([str(v) for v in range(na)])
-        b = SimpleGraph([str(v) for v in range(nb)])
+        a = SimpleGraph(labels(na))
+        b = SimpleGraph(labels(nb))
         wa, wb = random_weights(rng, na), random_weights(rng, nb)
         ta, tb = ([{t: tuple(cell) for t, cell in row.items()} for row in w] for w in (wa, wb))
         assert generalized_product_graph(a, ta, b, tb).edges() == generalized_product_graph(a, wa, b, wb).edges()

@@ -16,7 +16,7 @@ from powergraphs import (SimpleGraph, direct_product, generalized_product_graph,
 from powergraphs.cli import main
 from powergraphs.groupspec import parse_group_spec
 from powergraphs.verify import FAMILY_SPECS
-from test_groups import random_relabelling, relabel_table, write_table
+from helpers import random_relabelling, relabel_table, write_table
 
 SPECS = (*FAMILY_SPECS, "Q8xC3", "S3xS3", "C2xC2xC2xC3", "D12", "C60", "C4xC6")
 PAIRS = (("Q8", "C6"), ("D6", "C4"), ("S3", "C2xC2"), ("C12", "D4"), ("S4", "C3"), ("C2xC4", "C6"))
