@@ -259,9 +259,7 @@ def graph_from_json(text: str) -> SimpleGraph:
         raise ValueError('"vertices" must be an array of strings')
     if not isinstance(edges, list):
         raise ValueError('"edges" must be an array of [i, j] pairs')
-    pairs = []
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
+        if not (isinstance(e, list) and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):
             raise ValueError(f'bad edge entry {e!r}; expected [i, j]')
-        pairs.append((e[0], e[1]))
-    return SimpleGraph(vertices, pairs)
+    return SimpleGraph(vertices, edges)

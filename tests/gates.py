@@ -83,7 +83,7 @@ def write_inputs(work):
         Path(work, f"{spec}.b.json").write_text(json.dumps({"vertices": labels, "edges": image}))
 
 
-def run(work, argv, check, max_mb, max_s):
+def run_row(work, argv, check, max_mb, max_s):
     """Run one row; print its line and return whether it passed."""
     args = [arg.format(work=work) for arg in argv]
     start = time.perf_counter()
@@ -106,7 +106,7 @@ def main():
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     with tempfile.TemporaryDirectory() as work:
         write_inputs(work)
-        results = [run(work, *row) for row in ROWS]
+        results = [run_row(work, *row) for row in ROWS]
     return 0 if all(results) else 1
 
 

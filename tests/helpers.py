@@ -1,6 +1,7 @@
 """Oracles and builders shared by test modules; pytest does not collect this file."""
 
 from powergraphs import SimpleGraph
+from powergraphs.cli import main
 
 
 def labels(n):
@@ -40,3 +41,30 @@ def random_relabelling(g, rng):
 def write_table(path, table, spell=str, sep=" "):
     path.write_text(f"{len(table)}\n" + "".join(sep.join(map(spell, row)) + "\n" for row in table),
                     encoding="utf-8")
+
+
+def run(capsys, *argv):
+    """(exit code, stdout, stderr) of main(argv)."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def powers(g, a, count=None):
+    """[a^1, ..., a^count] by repeated multiplication in the table; by default up to the identity."""
+    out = [a]
+    while out[-1] != g.identity if count is None else len(out) < count:
+        out.append(g.table[out[-1]][a])
+    return out
+
+
+def first_violation(table):
+    """Slow oracle: the first (i, j, k) in index order with (i*j)*k != i*(j*k)."""
+    n = len(table)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                left, right = table[table[i][j]][k], table[i][table[j][k]]
+                if left != right:
+                    return i, j, k, left, right
+    return None

@@ -2,9 +2,13 @@
 
 Each test computes its verdict, reports it through the acceptance_report
 fixture (which also feeds the end-of-run summary), and only then asserts.
+Criteria 2 to 5 read the reports of one verify_all sweep, so they check
+the paper's claims through the same code as `powergraphs verify-all`.
 """
 
 import time
+
+import pytest
 
 from powergraphs import (
     APPair,
@@ -13,26 +17,23 @@ from powergraphs import (
     NotAssociative,
     NotClosed,
     NotLatinSquare,
-    SENTINEL,
-    ap_contains,
     aps_intersect_oracle,
     aps_intersect_positively,
-    are_isomorphic,
-    cartesian_product_graph,
     cyclic,
     direct_product,
     direct_product_graph,
-    exponent_set_window,
-    generalized_product_graph,
-    graphs_equal_labeled,
     group_from_cayley_table,
-    has_universal_vertex,
     normal_product_graph,
     power_graph,
-    power_graph_bundle,
-    power_weights,
 )
-from powergraphs.verify import check_classical_weights, family_groups
+from powergraphs.verify import family_groups, verify_all
+from helpers import first_violation
+
+
+@pytest.fixture(scope="module")
+def reports():
+    """verify_all's reports at max order 36, seed 0, by claim."""
+    return {report.claim: report for report in verify_all(max_order=36, seed=0)}
 
 
 def _trio_facts(z2, v4):
@@ -59,75 +60,47 @@ def test_criterion_1_order_four_trio(acceptance_report):
     assert elapsed_ms < 1.0
 
 
-def test_criterion_2_product_identity_sweep(acceptance_report):
-    family = family_groups(36)
-    pairs = [(g1, g2) for g1 in family for g2 in family if g1.order * g2.order <= 36]
-    start = time.perf_counter()
-    failures = []
-    for g1, g2 in pairs:
-        left = power_graph(direct_product(g1, g2))
-        b1 = power_graph_bundle(g1)
-        b2 = power_graph_bundle(g2)
-        right = generalized_product_graph(b1.graph, b1.weights, b2.graph, b2.weights)
-        if not graphs_equal_labeled(left, right):
-            failures.append(f"{g1.name} x {g2.name}")
-    elapsed = time.perf_counter() - start
-    ok = len(pairs) >= 60 and not failures and elapsed < 10.0
-    acceptance_report(2, "weighted product identity sweep", ok,
-                      f"{len(pairs)} pairs, {elapsed:.2f} s")
-    assert len(pairs) >= 60
-    assert not failures, failures
+def test_criterion_2_product_identity_sweep(acceptance_report, reports):
+    report = reports["power-product-identity"]
+    pairs, elapsed = len(report.instances), report.wall_time
+    ok = pairs == 169 and report.passed and elapsed < 10.0
+    acceptance_report(2, "weighted product identity sweep", ok, f"{pairs} pairs, {elapsed:.2f} s")
+    assert pairs == 169
+    assert report.passed, report.failures()
     assert elapsed < 10.0
 
 
-def test_criterion_3_classical_weight_suites(acceptance_report):
-    failures = []
-    total = 0
-    for kind in ("direct", "cartesian", "normal"):
-        results = check_classical_weights(kind, seed=0)
-        total += len(results)
-        failures += [f"{kind}: {r.subject}" for r in results if not r.passed]
+def test_criterion_3_classical_weight_suites(acceptance_report, reports):
+    suites = [reports[f"classical-weights-{kind}"] for kind in ("direct", "cartesian", "normal")]
+    total = sum(len(report.instances) for report in suites)
+    failures = [f"{report.claim}: {r.subject}" for report in suites for r in report.failures()]
     ok = total == 150 and not failures
     acceptance_report(3, "classical weight constructions", ok, f"{total} trials")
     assert total == 150
     assert not failures, failures
 
 
-def test_criterion_4_cartesian_obstruction(acceptance_report):
-    family = family_groups(16)
-    pairs = [(g1, g2) for g1 in family for g2 in family
-             if g1.order > 1 and g2.order > 1 and g1.order * g2.order <= 16]
-    failures = []
-    for g1, g2 in pairs:
-        pg = power_graph(direct_product(g1, g2))
-        cart = cartesian_product_graph(power_graph(g1), power_graph(g2))
-        iso, _ = are_isomorphic(pg, cart)
-        if iso or not has_universal_vertex(pg) or has_universal_vertex(cart):
-            failures.append(f"{g1.name} x {g2.name}")
-    ok = len(pairs) == 36 and not failures
-    acceptance_report(4, "cartesian product obstruction", ok,
-                      f"{len(pairs)} nontrivial pairs")
-    assert len(pairs) == 36
-    assert not failures, failures
+def test_criterion_4_cartesian_obstruction(acceptance_report, reports):
+    report = reports["cartesian-obstruction"]
+    pairs = len(report.instances)
+    ok = pairs == 130 and report.passed
+    acceptance_report(4, "cartesian product obstruction", ok, f"{pairs} nontrivial pairs")
+    assert pairs == 130
+    assert report.passed, report.failures()
 
 
-def test_criterion_5_exponent_windows(acceptance_report):
-    checked = 0
-    failures = []
-    for g in family_groups(36):
-        weights = power_weights(g)
-        for a in range(g.order):
-            bound = 3 * g.element_orders[a]
-            for b in range(g.order):
-                brute = exponent_set_window(g, a, b, bound)
-                via = {m for m in range(1, bound + 1) if ap_contains(weights[a].get(b, SENTINEL), m)}
-                checked += 1
-                if brute != via:
-                    failures.append(f"{g.name}: ({a}, {b})")
-    ok = checked > 0 and not failures
-    acceptance_report(5, "exponent window agreement", ok, f"{checked} ordered pairs")
-    assert checked > 0
-    assert not failures, failures
+def test_criterion_5_exponent_windows(acceptance_report, reports):
+    report = reports["exponent-window"]
+    family = family_groups(36)
+    # One instance per group, covering all of its ordered pairs.
+    covered = [r.subject for r in report.instances] == [g.name for g in family]
+    checked = sum(g.order * g.order for g in family)
+    ok = covered and len(family) == 20 and checked == 1606 and report.passed
+    acceptance_report(5, "exponent window agreement", ok,
+                      f"{len(family)} groups, {checked} ordered pairs")
+    assert covered
+    assert len(family) == 20 and checked == 1606
+    assert report.passed, report.failures()
 
 
 def test_criterion_6_decision_grid(acceptance_report):
@@ -184,18 +157,10 @@ def _rejects(table, err):
     return False
 
 
-def _fully_associative(g):
-    # independent exhaustive scan; every family order is well below 64
-    t = g.table
-    n = g.order
-    return all(t[t[i][j]][k] == t[i][t[j][k]]
-               for i in range(n) for j in range(n) for k in range(n))
-
-
 def test_criterion_7_group_axioms(acceptance_report):
     family = family_groups(36)
     build_failures = [g.name for g in family if not _revalidates(g)]
-    assoc_failures = [g.name for g in family if not _fully_associative(g)]
+    assoc_failures = [g.name for g in family if first_violation(g.table) is not None]
     corpus_failures = [name for name, table, err in MALFORMED if not _rejects(table, err)]
     ok = not build_failures and not assoc_failures and not corpus_failures
     acceptance_report(7, "group axiom validation", ok,

@@ -17,13 +17,7 @@ from powergraphs import (SENTINEL, SimpleGraph, cyclic, dihedral, direct_product
 from powergraphs.cli import build_parser, entry_point, main
 from powergraphs.products import PRODUCT_KINDS
 from gates import ROWS
-from helpers import adjacency
-
-
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+from helpers import adjacency, run
 
 
 def write_graph(path, g):

@@ -631,6 +631,12 @@ def test_json_round_trip():
     assert h.labels == g.labels
 
 
+def test_reprs():
+    assert repr(SimpleGraph("abc", [(0, 1), (1, 2)])) == "SimpleGraph(3 vertices, 2 edges)"
+    # A group built by a rule shows as the FiniteGroup it is.
+    assert repr(cyclic(6)) == "FiniteGroup('C6', order=6)"
+
+
 def test_json_parse_errors():
     with pytest.raises(ValueError):
         graph_from_json("[]")

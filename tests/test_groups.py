@@ -32,7 +32,7 @@ from powergraphs import (
 from powergraphs.groups import _generators
 from powergraphs.groupspec import parse_group_spec
 from powergraphs.verify import FAMILY_SPECS, family_groups
-from helpers import random_relabelling, relabel_table, write_table
+from helpers import first_violation, powers, random_relabelling, relabel_table, write_table
 
 # Latin square whose only identity-shaped row (row 0) fails columnwise,
 # so there is no two-sided identity.
@@ -144,18 +144,6 @@ def test_powers_of_a_loop_end_at_the_identity():
     loop = FiniteGroup(NONASSOCIATIVE)
     assert [loop.powers(a) for a in range(5)] == [[0], [1, 0], [2, 4, 0], [3, 2, 0], [4, 3, 0]]
     assert loop.element_orders == [1, 2, 3, 3, 3]
-
-
-def first_violation(table):
-    """Slow oracle: the first (i, j, k) in index order with (i*j)*k != i*(j*k)."""
-    n = len(table)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                left, right = table[table[i][j]][k], table[i][table[j][k]]
-                if left != right:
-                    return i, j, k, left, right
-    return None
 
 
 def is_group_by_scan(table):
@@ -524,14 +512,6 @@ def test_element_order_examples():
     assert z6.element_orders[z6.identity] == 1
     assert z6.element_orders[2] == 3
     assert z6.element_orders[5] == 6
-
-
-def powers(g, a, count):
-    """[a^1, ..., a^count] by repeated multiplication in the table."""
-    out = [a]
-    while len(out) < count:
-        out.append(g.table[out[-1]][a])
-    return out
 
 
 def test_smallest_exponent_examples():

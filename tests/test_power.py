@@ -26,7 +26,7 @@ from powergraphs import (
 from powergraphs.groupspec import parse_group_spec
 from powergraphs.power import _subgroup_rows
 from powergraphs.verify import family_groups
-from helpers import adjacency
+from helpers import adjacency, powers
 
 
 def test_klein_power_graph_is_a_star():
@@ -101,14 +101,6 @@ def test_bundle_adjacency_matches_weights():
                     continue
                 expected = w[a].get(b, SENTINEL) != SENTINEL or w[b].get(a, SENTINEL) != SENTINEL
                 assert adj(a, b) == expected
-
-
-def powers(g, a):
-    """[a^1, ..., a^o(a)] by repeated multiplication in the table, up to the identity."""
-    out = [a]
-    while out[-1] != g.identity:
-        out.append(g.table[out[-1]][a])
-    return out
 
 
 def naive_power_graph(g):

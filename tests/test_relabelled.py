@@ -13,10 +13,9 @@ import pytest
 
 from powergraphs import (SimpleGraph, direct_product, generalized_product_graph, graphs_equal_labeled,
                          group_from_cayley_table, power_graph, power_weights)
-from powergraphs.cli import main
 from powergraphs.groupspec import parse_group_spec
 from powergraphs.verify import FAMILY_SPECS
-from helpers import random_relabelling, relabel_table, write_table
+from helpers import random_relabelling, relabel_table, run, write_table
 
 SPECS = (*FAMILY_SPECS, "Q8xC3", "S3xS3", "C2xC2xC2xC3", "D12", "C60", "C4xC6")
 PAIRS = (("Q8", "C6"), ("D6", "C4"), ("S3", "C2xC2"), ("C12", "D4"), ("S4", "C3"), ("C2xC4", "C6"))
@@ -62,12 +61,6 @@ def test_power_join_of_relabelled_factors(spec1, spec2):
         assert product.table[product.identity] == list(range(product.order)), (perm1, perm2)
 
 
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out
-
-
 def write_copy(path, g):
     """A cayley: spec of g's table relabelled; an 'x' before an atom would end its path."""
     write_table(path, relabel_table(g.table, random_relabelling(g, random.Random(g.name))))
@@ -76,9 +69,9 @@ def write_copy(path, g):
 
 @pytest.mark.parametrize("spec", ["Q8xC6", "S3xC2xC2", "D4xC3", "C2xC4xC6", "S4xC2"])
 def test_stats_on_a_relabelled_product_table(tmp_path, capsys, spec):
-    code, want = run(capsys, "stats", spec)
+    code, want, _ = run(capsys, "stats", spec)
     assert code == 0
-    code, got = run(capsys, "stats", write_copy(tmp_path / "g.tbl", parse_group_spec(spec)))
+    code, got, _ = run(capsys, "stats", write_copy(tmp_path / "g.tbl", parse_group_spec(spec)))
     assert code == 0
     # The file's stem names the group, and the identity is its index in the file.
     skip = ("group: ", "identity: ")
@@ -88,10 +81,10 @@ def test_stats_on_a_relabelled_product_table(tmp_path, capsys, spec):
 
 @pytest.mark.parametrize("spec1, spec2", PAIRS)
 def test_verify_theorem_on_relabelled_factor_tables(tmp_path, capsys, spec1, spec2):
-    code, want = run(capsys, "verify-theorem", spec1, spec2)
+    code, want, _ = run(capsys, "verify-theorem", spec1, spec2)
     assert code == 0 and ": PASS (" in want
     files = [write_copy(tmp_path / f"g{i}.tbl", parse_group_spec(spec)) for i, spec in enumerate((spec1, spec2))]
-    code, got = run(capsys, "verify-theorem", *files)
+    code, got, _ = run(capsys, "verify-theorem", *files)
     assert code == 0 and ": PASS (" in got
     # The same edge count on each side.
     assert got.split(": PASS ")[1] == want.split(": PASS ")[1]
