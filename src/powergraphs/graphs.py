@@ -4,7 +4,6 @@ Equality and isomorphism ignore labels; labels exist to make exported
 output readable.
 """
 
-import json
 from collections import Counter
 from itertools import compress
 from typing import Iterable, Iterator
@@ -19,6 +18,12 @@ _DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 class TooLarge(ValueError):
     pass
+
+
+def check_iso_size(na: int, nb: int) -> None:
+    """Refuse an isomorphism test on graphs with na or nb vertices above the cap."""
+    if na > DEFAULT_ISO_CAP or nb > DEFAULT_ISO_CAP:
+        raise TooLarge(f"isomorphism cap is {DEFAULT_ISO_CAP} vertices")
 
 
 def _bits(row: int) -> bytes:
@@ -130,8 +135,7 @@ def are_isomorphic(a: SimpleGraph, b: SimpleGraph) -> tuple[bool, list[int] | No
     index order.  The witness is deterministic.  Returns (True, perm) with b
     adjacency at (perm[u], perm[v]) matching a at (u, v), or (False, None).
     """
-    if a.vertex_count > DEFAULT_ISO_CAP or b.vertex_count > DEFAULT_ISO_CAP:
-        raise TooLarge(f"isomorphism cap is {DEFAULT_ISO_CAP} vertices")
+    check_iso_size(a.vertex_count, b.vertex_count)
     if a.vertex_count != b.vertex_count or a.edge_count != b.edge_count:
         return False, None
     (classes_a, color_a, adj_a), (classes_b, color_b, adj_b) = map(_twin_quotient, (a._rows, b._rows))
@@ -220,6 +224,9 @@ def export(g: SimpleGraph, fmt: str) -> str:
     selection: no edge becomes a pair.
     """
     if fmt == "json":
+        # Imported here: only the json format needs it, and every command pays for start-up.
+        import json
+
         names = list(map(str, range(g.vertex_count)))
         pairs = ",".join(f"[{u}," + f"],[{u},".join(above) + "]" for u, above in _upper_items(g._rows, names))
         return f'{{"vertices":{json.dumps(g.labels, separators=(",", ":"))},"edges":[{pairs}]}}'
@@ -247,6 +254,14 @@ def _dot_quote(label: str) -> str:
 
 def graph_from_json(text: str) -> SimpleGraph:
     """Parse the json export format back into a graph."""
+    return SimpleGraph(*parse_graph_json(text))
+
+
+def parse_graph_json(text: str) -> tuple[list[str], list[list[int]]]:
+    """The labels and [i, j] edge pairs of the json export format, checked
+    for shape; SimpleGraph checks the indices as it builds the rows."""
+    import json
+
     try:
         data = json.loads(text)
     except RecursionError:
@@ -262,4 +277,4 @@ def graph_from_json(text: str) -> SimpleGraph:
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):
             raise ValueError(f'bad edge entry {e!r}; expected [i, j]')
-    return SimpleGraph(vertices, edges)
+    return vertices, edges

@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import json
 import os
 import signal
 import subprocess
@@ -205,12 +206,17 @@ def test_iso_reads_a_byte_order_mark(tmp_path, capsys):
 
 
 def test_iso_bad_file(tmp_path, capsys):
-    bad = tmp_path / "junk.json"
-    bad.write_text("{]")
-    write_graph(tmp_path / "ok.json", power_graph(cyclic(2)))
-    code, _, err = run(capsys, "iso", str(bad), str(tmp_path / "ok.json"))
-    assert code == 2
-    assert err.startswith("error:")
+    # Either file may be the bad one, so the message names it.
+    ok = tmp_path / "ok.json"
+    write_graph(ok, power_graph(cyclic(2)))
+    for name, data, reason in (("junk.json", b"{]", "Expecting property name"),
+                               ("latin1.json", b'{"vertices":["\xe9"],"edges":[]}', "can't decode byte 0xe9")):
+        bad = tmp_path / name
+        bad.write_bytes(data)
+        for argv in ((bad, ok), (ok, bad)):
+            code, out, err = run(capsys, "iso", *map(str, argv))
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: {bad}: ") and reason in err, err
 
 
 def test_iso_rejects_boolean_vertex_index(tmp_path, capsys):
@@ -231,7 +237,7 @@ def test_iso_rejects_deeply_nested_json(tmp_path, capsys):
         code, out, err = run(capsys, "iso", str(tmp_path / name), str(tmp_path / "k2.json"))
         assert code == 2
         assert out == ""
-        assert err == "error: JSON is nested too deeply\n"
+        assert err == f"error: {tmp_path / name}: JSON is nested too deeply\n"
 
 
 def test_stats_c6(capsys):
@@ -341,10 +347,14 @@ def test_stats_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
     (["product", "direct", "C101", "C100"], "error: product on 10100 vertices exceeds cap 10000"),
     (["stats", "cayley:{tmp}/huge.tbl"], "error: {tmp}/huge.tbl:1: order 10001 exceeds cap 10000 (position 0)"),
     (["iso", "{tmp}/big.json", "{tmp}/big.json"], "error: isomorphism cap is 200 vertices"),
+    (["iso", "{tmp}/star.json", "{tmp}/star.json"], "error: isomorphism cap is 200 vertices"),
 ])
 def test_caps_reject_before_building(tmp_path, capsys, argv, message):
     (tmp_path / "huge.tbl").write_text("10001\n")
     write_graph(tmp_path / "big.json", SimpleGraph([str(v) for v in range(201)]))
+    n = 10_000
+    (tmp_path / "star.json").write_text(json.dumps({"vertices": [str(v) for v in range(n)],
+                                                    "edges": [[v, n - 1] for v in range(n - 1)]}))
     tracemalloc.start()
     try:
         code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
@@ -355,7 +365,8 @@ def test_caps_reject_before_building(tmp_path, capsys, argv, message):
     assert out == ""
     assert err == message.format(tmp=tmp_path) + "\n"
     # An over-cap table would take gigabytes; an over-cap product is refused
-    # before either factor's power graph is built.
+    # before either factor's power graph is built, and an over-cap iso pair
+    # before either graph's rows are: a star's rows on 10000 vertices take 12.5 MB.
     assert peak < 8 * 2**20, peak
 
 
@@ -469,7 +480,8 @@ def test_closed_stdout_ends_quietly():
 
 def test_cli_import_loads_no_introspection_modules():
     # Every command pays for importing the CLI first.  dataclasses would pull
-    # in inspect, ast, dis and tokenize, which nothing in the package uses.
+    # in inspect, ast, dis and tokenize, which nothing in the package uses;
+    # json and signal are imported by the functions that use them.
     # Only the modules new since the snapshot count: site may preload others.
     code = ("import sys\n"
             "sys.path.insert(0, sys.argv[1])\n"
@@ -480,7 +492,7 @@ def test_cli_import_loads_no_introspection_modules():
                           capture_output=True, text=True, check=True)
     loaded = set(done.stdout.split())
     assert "powergraphs.cli" in loaded
-    assert sorted(loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}) == []
+    assert sorted(loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "json", "signal"}) == []
 
 
 def test_gate_rows_stay_runnable():
