@@ -63,8 +63,8 @@ class FiniteGroup:
     cyclic subgroups and element orders are computed on first use and then
     cached.  Instances are otherwise never mutated and are safe to share.  The constructor trusts
     its input and keeps the table it is given, without copying it, so
-    callers must not change that table afterwards; use
-    group_from_cayley_table to validate (and copy) an untrusted table.
+    callers must not change that table afterwards.  group_from_cayley_table
+    validates an untrusted table and builds the group on a copy of it.
     Cyclic, dihedral and product groups are _RuleGroups: they take their
     identity, walks and commutativity from a rule, and build the table only
     when it is first read.
@@ -146,12 +146,57 @@ def group_from_cayley_table(table, name: str = "G") -> FiniteGroup:
     """Validate an untrusted multiplication table and build the group.
 
     Checks run in the order closure, Latin square, identity, associativity;
-    error messages name the first violating cell.
+    error messages name the first violating cell.  A table that passes all
+    but the column half of the Latin check is a group, so its columns are
+    Latin too: they are checked only when the identity or associativity
+    fails, before that error is raised, so the first error named stays the
+    same.  Each row is copied, so the group does not share the caller's table.
     """
     rows = [list(row) for row in table]
     n = len(rows)
     if n == 0:
         raise InvalidOrder("table is empty")
+    # The loader's rows of plain indices hold only its n shared ints, so
+    # only other rows are tested for shape and closure.
+    if type(table) is not _LoadedRows or table.respelt:
+        _check_closure(rows)
+    _check_latin(rows, n, "row", "columns")
+    try:
+        group = FiniteGroup(rows, name=name)
+    except NoIdentity:
+        _check_latin(zip(*rows), n, "column", "rows")
+        raise
+    # Light's test.  The g with (x*g)*y = x*(g*y) for all x, y include the
+    # identity and are closed under the product, so they include every element
+    # reached from the identity by right multiplication with generators: all of them.
+    for g in _generators(rows, group.identity):
+        # times_g(ti) lists i*(g*v) over v.  An order-1 table has no
+        # generators, so rows[g] holds at least two indices and it is a tuple.
+        times_g = operator.itemgetter(*rows[g])
+        for ti in rows:
+            if list(times_g(ti)) != rows[ti[g]]:
+                _check_latin(zip(*rows), n, "column", "rows")
+                _raise_first_violation(rows)
+    return group
+
+
+class _LoadedRows:
+    """The rows of a Cayley file, parsed as they are iterated by parse(self).
+
+    A row spelt with plain indices maps through the loader's index dict to
+    ints in 0..n-1; parse sets respelt once it reads a row with int() instead.
+    """
+
+    def __init__(self, parse):
+        self._parse, self.respelt = parse, False
+
+    def __iter__(self):
+        return self._parse(self)
+
+
+def _check_closure(rows: list[list]) -> None:
+    """Each row has n entries, each an index in 0..n-1."""
+    n = len(rows)
     full = set(range(n))
     for i, row in enumerate(rows):
         if len(row) != n:
@@ -164,27 +209,17 @@ def group_from_cayley_table(table, name: str = "G") -> FiniteGroup:
         for j, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                 raise NotClosed(f"entry {v!r} at row {i}, column {j} is not an index in 0..{n - 1}")
-    # Each line is checked as a set; only a failing one is walked to name the cell.
-    for kind, lines, across in (("row", rows, "columns"), ("column", zip(*rows), "rows")):
-        for i, line in enumerate(lines):
-            if len(set(line)) == n:
-                continue
-            first: dict[int, int] = {}
-            for j, v in enumerate(line):
-                if first.setdefault(v, j) != j:
-                    raise NotLatinSquare(f"{kind} {i} repeats entry {v} at {across} {first[v]} and {j}")
-    group = FiniteGroup(rows, name=name)
-    # Light's test.  The g with (x*g)*y = x*(g*y) for all x, y include the
-    # identity and are closed under the product, so they include every element
-    # reached from the identity by right multiplication with generators: all of them.
-    for g in _generators(rows, group.identity):
-        # times_g(ti) lists i*(g*v) over v.  An order-1 table has no
-        # generators, so rows[g] holds at least two indices and it is a tuple.
-        times_g = operator.itemgetter(*rows[g])
-        for ti in rows:
-            if list(times_g(ti)) != rows[ti[g]]:
-                _raise_first_violation(rows)
-    return group
+
+
+def _check_latin(lines, n: int, kind: str, across: str) -> None:
+    """Each line is checked as a set; only a failing one is walked to name the cell."""
+    for i, line in enumerate(lines):
+        if len(set(line)) == n:
+            continue
+        first: dict[int, int] = {}
+        for j, v in enumerate(line):
+            if first.setdefault(v, j) != j:
+                raise NotLatinSquare(f"{kind} {i} repeats entry {v} at {across} {first[v]} and {j}")
 
 
 def _generators(rows: list[list[int]], identity: int) -> list[int]:
@@ -448,7 +483,7 @@ def load_cayley_table(path: str | Path) -> FiniteGroup:
 
         # Each of the first n rows is parsed as its line is read and goes
         # straight into the validator's copy; any further lines are only counted.
-        def rows():
+        def rows(loaded):
             count = 0
             for count, (lineno, text) in enumerate(itertools.islice(data, n), start=1):
                 tokens = text.split()
@@ -460,13 +495,17 @@ def load_cayley_table(path: str | Path) -> FiniteGroup:
                     bad = next((tok for tok in tokens if not _is_decimal(tok)), None)
                     if bad is not None:
                         raise ValueError(f"{path}:{lineno}: invalid entry {bad!r}") from None
+                    loaded.respelt = True
                     row = list(map(int, tokens))
                 yield row
             count += sum(1 for _ in data)
             if count != n:
                 raise ValueError(f"{path}: expected {n} table rows, got {count}")
 
-        return group_from_cayley_table(rows(), name=path.stem)
+        try:
+            return group_from_cayley_table(_LoadedRows(rows), name=path.stem)
+        except CayleyTableError as exc:
+            raise type(exc)(f"{path}: {exc}") from None
 
 
 def _is_decimal(token: str) -> bool:

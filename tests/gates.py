@@ -53,8 +53,9 @@ ROWS = (
     (("product", "generalized", "D50", "C100", "--format", "json"), None, 65, None),
     # Twin-free at the cap: the export selects each row's neighbours once, for that row alone.
     (("product", "cartesian", "D50", "C100", "--format", "json"), None, 60, None),
-    (("stats", "cayley:{work}/c2000.tbl"), None, 80, None),
-    (("stats", "cayley:{work}/c4000.tbl"), None, 180, None),
+    # Time bounds: hang guards at about five times 0.52 and 1.95 s (Python 3.11.7, 2 vCPUs).
+    (("stats", "cayley:{work}/c2000.tbl"), None, 80, 3),
+    (("stats", "cayley:{work}/c4000.tbl"), None, 180, 10),
     (("product", "generalized", "C4000", "C2", "--format", "json"), None, 650, None),
     (("stats", "C10000"), None, 100, None),
     (("product", "generalized", "Q8", "C1250", "--format", "json"), None, 600, None),

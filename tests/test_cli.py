@@ -307,6 +307,15 @@ def test_stats_nonabelian(capsys):
     assert "has universal vertex: yes" in out
 
 
+def test_table_errors_name_their_file(tmp_path, capsys):
+    good, bad = tmp_path / "good.tbl", tmp_path / "bad.tbl"
+    good.write_text("2\n0 1\n1 0\n")
+    bad.write_text("2\n0 1\n0 1\n")
+    message = f"error: {bad}: column 0 repeats entry 0 at rows 0 and 1\n"
+    for argv in (("stats", f"cayley:{bad}"), ("verify-theorem", f"cayley:{good}", f"cayley:{bad}")):
+        assert run(capsys, *argv) == (2, "", message)
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin on this platform")
 def test_stats_reads_a_cayley_table_from_a_pipe(tmp_path):
     # The table file is read once, so a pipe, which cannot be read twice, loads too.

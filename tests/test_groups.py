@@ -29,7 +29,7 @@ from powergraphs import (
     quaternion8,
     symmetric,
 )
-from powergraphs.groups import _generators
+from powergraphs.groups import _check_closure, _generators
 from powergraphs.groupspec import parse_group_spec
 from powergraphs.verify import FAMILY_SPECS, family_groups
 from helpers import first_violation, powers, random_relabelling, relabel_table, write_table
@@ -335,6 +335,50 @@ def test_validation_agrees_with_ordered_first_fault_scan():
     # every check, and both Latin directions, decides some of the tables
     assert set(outcomes) == {"group", "ValueError", "NotClosed", "row", "column",
                              "NoIdentity", "NotAssociative"}
+
+
+def test_loaded_files_agree_with_ordered_first_fault_scan(tmp_path, monkeypatch):
+    # Each square table of ints is written twice: spelt canonically, which
+    # skips the closure test when every entry is an index, and with one row
+    # re-spelt, which keeps it.  Both give the oracle's error, after the path,
+    # or the same table.
+    closure_checks = []
+    monkeypatch.setattr("powergraphs.groups._check_closure",
+                        lambda rows: closure_checks.append(rows) or _check_closure(rows))
+    rng = random.Random(36)
+    outcomes = Counter()
+    path = tmp_path / "t.tbl"
+    for table in faulty_tables(random.Random(5), 2000):
+        n = len(table)
+        if any(len(row) != n or any(type(v) is not int for v in row) for row in table):
+            continue
+        expected = first_fault(table)
+        indices = all(0 <= v < n for row in table for v in row)
+        respelt = rng.randrange(n)
+        for spell in (str, lambda v: f"{'-' if v < 0 else '+'}0{abs(v)}"):
+            path.write_text(f"{n}\n" + "".join(
+                " ".join(map(spell if i == respelt else str, row)) + "\n" for i, row in enumerate(table)))
+            closure_checks.clear()
+            if expected is None:
+                assert load_cayley_table(path).table == table
+            else:
+                kind, text = expected
+                with pytest.raises(ValueError) as info:
+                    load_cayley_table(path)
+                assert (type(info.value), str(info.value)) == (kind, f"{path}: {text}")
+            assert len(closure_checks) == (0 if indices and spell is str else 1)
+        if expected is None:
+            outcomes["group"] += 1
+        elif kind is NotLatinSquare and text.startswith("column"):
+            # Columns are checked only once the identity or Light's test fails:
+            # Latin rows, an identity and associativity make a group, whose columns are Latin.
+            has_identity = any(all(table[e][x] == x == table[x][e] for x in range(n)) for e in range(n))
+            assert not has_identity or first_violation(table)
+            outcomes["column, no identity" if not has_identity else "column, not associative"] += 1
+        else:
+            outcomes[kind.__name__] += 1
+    assert {"group", "NotClosed", "NotLatinSquare", "NoIdentity", "NotAssociative",
+            "column, no identity", "column, not associative"} <= set(outcomes), outcomes
 
 
 def test_empty_table():
@@ -786,7 +830,7 @@ def test_load_reads_any_spelling_of_an_entry_as_its_index(tmp_path):
         respelt.write_text(f"2\n0 1\n{entry} 0\n")
         with pytest.raises(NotClosed) as info:
             load_cayley_table(respelt)
-        assert str(info.value) == f"entry {value} at row 1, column 0 is not an index in 0..1"
+        assert str(info.value) == f"{respelt}: entry {value} at row 1, column 0 is not an index in 0..1"
 
 
 def test_load_shares_one_int_per_index(tmp_path):
