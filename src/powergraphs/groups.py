@@ -169,15 +169,20 @@ def group_from_cayley_table(table, name: str = "G") -> FiniteGroup:
     # Light's test.  The g with (x*g)*y = x*(g*y) for all x, y include the
     # identity and are closed under the product, so they include every element
     # reached from the identity by right multiplication with generators: all of them.
-    for g in _generators(rows, group.identity):
-        # times_g(ti) lists i*(g*v) over v.  An order-1 table has no
-        # generators, so rows[g] holds at least two indices and it is a tuple.
-        times_g = operator.itemgetter(*rows[g])
-        for ti in rows:
-            if list(times_g(ti)) != rows[ti[g]]:
-                _check_latin(zip(*rows), n, "column", "rows")
-                _raise_first_violation(rows)
-    return group
+    # _generators gives None only when the table is not a group: its columns or associativity fail.
+    gens = _generators(rows, group.identity)
+    if gens is not None and all(_light_passes(rows, g) for g in gens):
+        return group
+    _check_latin(zip(*rows), n, "column", "rows")
+    _raise_first_violation(rows)
+
+
+def _light_passes(rows: list[list[int]], g: int) -> bool:
+    """(x*g)*y = x*(g*y) for all x, y."""
+    # times_g(ti) lists i*(g*v) over v.  An order-1 table has no
+    # generators, so rows[g] holds at least two indices and it is a tuple.
+    times_g = operator.itemgetter(*rows[g])
+    return all(list(times_g(ti)) == rows[ti[g]] for ti in rows)
 
 
 class _LoadedRows:
@@ -222,11 +227,14 @@ def _check_latin(lines, n: int, kind: str, across: str) -> None:
                 raise NotLatinSquare(f"{kind} {i} repeats entry {v} at {across} {first[v]} and {j}")
 
 
-def _generators(rows: list[list[int]], identity: int) -> list[int]:
+def _generators(rows: list[list[int]], identity: int) -> list[int] | None:
     """Elements that reach every element from the identity by right multiplication.
 
     Each generator is the first element not reached by the earlier ones; in a
-    group it at least doubles the reached set, so there are at most log2 n.
+    group the reached set is the subgroup they generate, and the new one's coset
+    at least doubles it, so there are at most log2 n.  A generator that does not
+    double it shows that the table is not a group, and None is returned: without
+    that stop a table that is not one could take n - 1 generators and n^3 steps.
     """
     reached = [False] * len(rows)
     reached[identity] = True
@@ -236,6 +244,7 @@ def _generators(rows: list[list[int]], identity: int) -> list[int]:
         if reached[a]:
             continue
         gens.append(a)
+        before = len(closure)
         frontier = list(closure)
         while frontier:
             row = rows[frontier.pop()]
@@ -245,6 +254,8 @@ def _generators(rows: list[list[int]], identity: int) -> list[int]:
                     reached[y] = True
                     closure.append(y)
                     frontier.append(y)
+        if len(closure) < 2 * before:
+            return None
     return gens
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 import tracemalloc
 from collections import Counter
 from functools import reduce
@@ -379,6 +380,35 @@ def test_loaded_files_agree_with_ordered_first_fault_scan(tmp_path, monkeypatch)
             outcomes[kind.__name__] += 1
     assert {"group", "NotClosed", "NotLatinSquare", "NoIdentity", "NotAssociative",
             "column, no identity", "column, not associative"} <= set(outcomes), outcomes
+
+
+def staircase(n):
+    """x*0 = x, x*y = y-1 for 1 <= y <= x, x*y = y for y > x: Latin rows and the
+    two-sided identity 0, but column 1 repeats 0 at rows 1 and 2."""
+    return [[x] + [y - 1 if y <= x else y for y in range(1, n)] for x in range(n)]
+
+
+def test_generators_stop_at_the_first_that_does_not_double():
+    # In a group each new generator at least doubles the reached set.  On the
+    # staircase each adds one element, so a walk that went on would take n - 1
+    # generators and about n^3 / 3 steps; it stops at the second, 2, instead.
+    for n in range(3, 40):
+        assert _generators(staircase(n), 0) is None
+        assert first_fault(staircase(n)) == (NotLatinSquare, "column 1 repeats entry 0 at rows 1 and 2")
+        with pytest.raises(NotLatinSquare, match="^column 1 repeats entry 0 at rows 1 and 2$"):
+            group_from_cayley_table(staircase(n))
+
+
+def test_staircase_file_is_rejected_on_its_columns_in_seconds(tmp_path):
+    # Hang guard: a generator walk without the doubling stop takes about a
+    # minute on this order-2000 file; parsing and validation take about 1 s.
+    path = tmp_path / "stairs.tbl"
+    write_table(path, staircase(2000))
+    start = time.perf_counter()
+    with pytest.raises(NotLatinSquare) as info:
+        load_cayley_table(path)
+    assert str(info.value) == f"{path}: column 1 repeats entry 0 at rows 1 and 2"
+    assert time.perf_counter() - start < 10
 
 
 def test_empty_table():
