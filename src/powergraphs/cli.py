@@ -12,7 +12,7 @@ from collections.abc import Callable
 from math import lcm
 from pathlib import Path
 
-from .graphs import EXPORT_FORMATS, SimpleGraph, are_isomorphic, check_iso_size, export, parse_graph_json
+from .graphs import EXPORT_FORMATS, SimpleGraph, are_isomorphic, check_iso_size, export_chunks, parse_graph_json
 from .groups import direct_product
 from .groupspec import parse_group_spec
 from .power import power_graph, power_graph_bundle, power_weights
@@ -104,12 +104,25 @@ def _print_weights(weights: WeightTable) -> None:
         print("\n".join(f"{u} {v} : ({start},{step})" for v, (start, step) in enumerate(cells)))
 
 
+def _write_graph(g: SimpleGraph, fmt: str) -> None:
+    """Write g's export and a newline to stdout a piece at a time; an empty
+    text, as an edgeless graph's edgelist is, prints no line."""
+    # Looked up per call, so a redirected sys.stdout gets the text.
+    out = sys.stdout
+    wrote = False
+    for chunk in export_chunks(g, fmt):
+        out.write(chunk)
+        wrote = True
+    if wrote:
+        out.write("\n")
+
+
 def _cmd_build(args: argparse.Namespace) -> int:
     group = parse_group_spec(args.spec)
     if args.dump_weights:
         _print_weights(power_weights(group))
-    elif text := export(power_graph(group), args.format):
-        print(text)
+    else:
+        _write_graph(power_graph(group), args.format)
     return 0
 
 
@@ -128,9 +141,7 @@ def _cmd_product(args: argparse.Namespace) -> int:
     else:
         build, _, _ = classical_product(args.kind)
         result = build(power_graph(g1), power_graph(g2))
-    # An edgeless graph's edgelist is empty, and prints no line.
-    if text := export(result, args.format):
-        print(text)
+    _write_graph(result, args.format)
     return 0
 
 

@@ -219,33 +219,82 @@ def export(g: SimpleGraph, fmt: str) -> str:
 
     dot lists isolated vertices and then edges; edgelist emits one
     "label_u,label_v" line per edge with the lines sorted; json holds the
-    label array and index pairs [i, j] with i < j, sorted.  A row's bits
-    select its text from one string per vertex, and closed twins share one
-    selection: no edge becomes a pair.
+    label array and index pairs [i, j] with i < j, sorted.  The text is
+    the join of export_chunks(g, fmt).
     """
-    if fmt == "json":
-        # Imported here: only the json format needs it, and every command pays for start-up.
-        import json
+    return "".join(export_chunks(g, fmt))
 
-        names = list(map(str, range(g.vertex_count)))
-        pairs = ",".join(f"[{u}," + f"],[{u},".join(above) + "]" for u, above in _upper_items(g._rows, names))
-        return f'{{"vertices":{json.dumps(g.labels, separators=(",", ":"))},"edges":[{pairs}]}}'
-    if fmt == "edgelist":
-        lines = []
-        for label, above in _upper_items(g._rows, g.labels):
-            lines += map((label + ",").__add__, above)
-        lines.sort()
-        return "\n".join(lines)
-    if fmt == "dot":
-        quoted = [f'"{_dot_quote(label)}"' for label in g.labels]
-        lines = ["graph {"]
-        lines += (f"  {q};" for q, row in zip(quoted, g._rows) if not row)
-        for q, above in _upper_items(g._rows, quoted):
-            head = f"  {q} -- "
-            lines.append(head + f";\n{head}".join(above) + ";")
-        lines.append("}")
-        return "\n".join(lines)
-    raise ValueError(f"unknown format {fmt!r}; expected one of {', '.join(EXPORT_FORMATS)}")
+
+def export_chunks(g: SimpleGraph, fmt: str) -> Iterator[str]:
+    """The text of export(g, fmt) in non-empty pieces of at most one row's
+    text each, or one cluster's edgelist lines; an unknown format is refused
+    before any piece.
+
+    A row's bits select its text from one string per vertex, and closed
+    twins share one selection in json and dot: no edge becomes a pair.
+    """
+    if fmt not in _CHUNKS:
+        raise ValueError(f"unknown format {fmt!r}; expected one of {', '.join(EXPORT_FORMATS)}")
+    return _CHUNKS[fmt](g)
+
+
+def _json_chunks(g: SimpleGraph) -> Iterator[str]:
+    # Imported here: only the json format needs it, and every command pays for start-up.
+    import json
+
+    names = list(map(str, range(g.vertex_count)))
+    sep = ""
+    yield f'{{"vertices":{json.dumps(g.labels, separators=(",", ":"))},"edges":['
+    for u, above in _upper_items(g._rows, names):
+        yield f"{sep}[{u}," + f"],[{u},".join(above) + "]"
+        sep = ","
+    yield "]}"
+
+
+def _edgelist_chunks(g: SimpleGraph) -> Iterator[str]:
+    """Lines in sorted order without sorting them all at once.
+
+    Vertex u's lines are key_u + label_v with key_u = label_u + ",".  In
+    the order of the sorted keys, a key that does not start with an
+    earlier one is greater than every line of the vertices before it, so
+    only a cluster, a run of keys that start with the run's first key,
+    needs its lines sorted together; any other vertex's lines are its
+    neighbour labels sorted behind its key.
+    """
+    labels, rows = g.labels, g._rows
+    keys = [label + "," for label in labels]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+
+    def selected(u):
+        return compress(labels[u + 1:], _bits(rows[u] >> u + 1))
+
+    sep = ""
+    i = 0
+    while i < len(order):
+        first = keys[order[i]]
+        j = i + 1
+        while j < len(order) and keys[order[j]].startswith(first):
+            j += 1
+        if j - i == 1:
+            key, lines = first, sorted(selected(order[i]))
+        else:
+            key, lines = "", sorted(keys[u] + label for u in order[i:j] for label in selected(u))
+        i = j
+        if lines:
+            yield sep + key + f"\n{key}".join(lines)
+            sep = "\n"
+
+
+def _dot_chunks(g: SimpleGraph) -> Iterator[str]:
+    quoted = [f'"{_dot_quote(label)}"' for label in g.labels]
+    yield "graph {" + "".join(f"\n  {q};" for q, row in zip(quoted, g._rows) if not row)
+    for q, above in _upper_items(g._rows, quoted):
+        head = f"\n  {q} -- "
+        yield head + f";{head}".join(above) + ";"
+    yield "\n}"
+
+
+_CHUNKS = {"dot": _dot_chunks, "edgelist": _edgelist_chunks, "json": _json_chunks}
 
 
 def _dot_quote(label: str) -> str:

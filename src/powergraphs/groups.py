@@ -411,7 +411,9 @@ def symmetric(n: int) -> FiniteGroup:
         raise InvalidOrder(f"symmetric group parameter must be in [1, 5], got {n}")
     perms = list(itertools.permutations(range(n)))
     names = ["".join(str(x) for x in p) for p in perms]
-    return _from_product(perms, lambda p, q: tuple(p[x] for x in q), f"S{n}", names)
+    # itemgetter(*q) maps p to p*q in C; on one letter it would return p[0], not a tuple.
+    right = [operator.itemgetter(*q) if n > 1 else tuple for q in perms]
+    return _from_product(perms, right, f"S{n}", names)
 
 
 def quaternion8() -> FiniteGroup:
@@ -426,13 +428,15 @@ def quaternion8() -> FiniteGroup:
                 a * y - b * z + c * w + d * x, a * z + b * y - c * x + d * w)
 
     units = [tuple(s * (t == axis) for t in range(4)) for axis in range(4) for s in (1, -1)]
-    return _from_product(units, mul, "Q8", ["1", "-1", "i", "-i", "j", "-j", "k", "-k"])
+    right = [functools.partial(mul, q=q) for q in units]
+    return _from_product(units, right, "Q8", ["1", "-1", "i", "-i", "j", "-j", "k", "-k"])
 
 
-def _from_product(elements: list, mul, name: str, names: list[str]) -> FiniteGroup:
-    """The group of the listed elements under mul, each element indexed by its position."""
+def _from_product(elements: list, right: list, name: str, names: list[str]) -> FiniteGroup:
+    """The group of the listed elements, each indexed by its position, where
+    right[j] maps a to the product a * elements[j]."""
     index = {e: i for i, e in enumerate(elements)}
-    return FiniteGroup([[index[mul(a, b)] for b in elements] for a in elements],
+    return FiniteGroup([[index[times(a)] for times in right] for a in elements],
                        name=name, element_names=names)
 
 

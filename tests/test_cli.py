@@ -13,9 +13,10 @@ from pathlib import Path
 import pytest
 
 import powergraphs
-from powergraphs import (SENTINEL, SimpleGraph, cyclic, dihedral, direct_product, export,
-                         power_graph, power_weights)
+from powergraphs import (SENTINEL, SimpleGraph, cyclic, dihedral, direct_product, direct_product_graph,
+                         export, normal_product_graph, power_graph, power_weights, symmetric)
 from powergraphs.cli import build_parser, entry_point, main
+from powergraphs.graphs import EXPORT_FORMATS
 from powergraphs.products import PRODUCT_KINDS
 from gates import ROWS
 from helpers import adjacency, run
@@ -119,6 +120,35 @@ def test_dump_weights_output_is_pinned(capsys, command):
     code, out, _ = run(capsys, *command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DUMP_DIGESTS[command]
+
+
+@pytest.mark.parametrize("argv, graph", [
+    (["build", "C1"], lambda: power_graph(cyclic(1))),
+    (["build", "D6"], lambda: power_graph(dihedral(6))),
+    (["product", "direct", "C1", "C2"], lambda: direct_product_graph(power_graph(cyclic(1)), power_graph(cyclic(2)))),
+    (["product", "normal", "C4", "S3"], lambda: normal_product_graph(power_graph(cyclic(4)), power_graph(symmetric(3)))),
+    (["product", "generalized", "D4", "C6"], lambda: power_graph(direct_product(dihedral(4), cyclic(6)))),
+])
+def test_streamed_stdout_is_the_export_text(capsys, argv, graph):
+    g = graph()
+    for fmt in EXPORT_FORMATS:
+        text = export(g, fmt)
+        assert run(capsys, *argv, "--format", fmt) == (0, text + "\n" if text else "", "")
+
+
+@pytest.mark.parametrize("fmt", EXPORT_FORMATS)
+def test_graph_is_written_a_row_at_a_time(fmt):
+    # Built as one string, P(C2000)'s json peaked at 38 MiB, its dot at 65 MiB
+    # and its edgelist at 127 MiB; its rows take about 1 MiB (Python 3.11).
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            code = main(["build", "C2000", "--format", fmt])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4 * 2**20, peak
 
 
 def test_verify_theorem_pass(capsys):

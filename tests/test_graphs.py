@@ -24,9 +24,9 @@ from powergraphs import (
     power_graph,
     power_graph_bundle,
 )
-from powergraphs.graphs import _twin_quotient, _upper_items
+from powergraphs.graphs import EXPORT_FORMATS, _twin_quotient, _upper_items
 from powergraphs.verify import FAMILY_SPECS
-from helpers import adjacency, labels, random_gnp
+from helpers import adjacency, labels, random_gnp, run
 
 
 def relabel(g, perm):
@@ -519,22 +519,22 @@ def assert_export_matches_oracle(g):
             pytest.fail(f"{fmt} differs at {at}: {got[at - 20:at + 20]!r} vs {want[at - 20:at + 20]!r}")
 
 
-def test_export_matches_oracle_on_small_graphs():
+def small_graphs():
     for n in range(6):
-        assert_export_matches_oracle(SimpleGraph(labels(n)))
-        assert_export_matches_oracle(complete(n))
-    assert_export_matches_oracle(star(7))
-    assert_export_matches_oracle(cycle(9))
+        yield SimpleGraph(labels(n))
+        yield complete(n)
+    yield star(7)
+    yield cycle(9)
 
 
-def test_export_matches_oracle_on_random_graphs():
+def seeded_random_graphs():
     rng = random.Random(41)
     for density in (0, 0.1, 0.5, 1):
         for _ in range(25):
-            assert_export_matches_oracle(random_gnp(rng, rng.randint(0, 40), density))
+            yield random_gnp(rng, rng.randint(0, 40), density)
 
 
-def test_export_matches_oracle_on_awkward_labels():
+def awkward_label_graphs():
     odd = ['say "hi"', "back\\slash", "a,b", "two words", "line\nbreak", "", "\u00e9t\u00e9",
            "\u2205", "\U0001f600", '\\"', ",", " "]
     rng = random.Random(43)
@@ -542,13 +542,33 @@ def test_export_matches_oracle_on_awkward_labels():
         for _ in range(10):
             n = rng.randint(0, len(odd))
             g = random_gnp(rng, n, density)
-            assert_export_matches_oracle(SimpleGraph(rng.sample(odd, n), g.edges()))
+            yield SimpleGraph(rng.sample(odd, n), g.edges())
 
 
-@pytest.mark.parametrize("left, right", [("S4", "D21"), ("C20", "C60"), ("Q8", "C125")])
-def test_export_matches_oracle_on_power_graph_products(left, right):
+# Labels that repeat, or that are another label followed by a comma: edgelist
+# sorts the lines of such vertices together.
+NESTED_KEY_LABELS = ("a", "a,", "a,b", "a,,", "", ",", "(1,2)", "(1,2),x", "10", "2")
+
+
+def nested_key_graphs():
+    rng = random.Random(59)
+    for _ in range(300):
+        n = rng.randint(0, 14)
+        g = random_gnp(rng, n, rng.random())
+        yield SimpleGraph(rng.choices(NESTED_KEY_LABELS, k=n), g.edges())
+
+
+def power_product_graph(left, right):
     b1, b2 = (power_graph_bundle(parse_group_spec(spec)) for spec in (left, right))
-    assert_export_matches_oracle(generalized_product_graph(b1.graph, b1.weights, b2.graph, b2.weights))
+    return generalized_product_graph(b1.graph, b1.weights, b2.graph, b2.weights)
+
+
+POWER_PRODUCT_PAIRS = (("S4", "D21"), ("C20", "C60"), ("Q8", "C125"))
+
+
+def power_product_graphs():
+    for left, right in POWER_PRODUCT_PAIRS:
+        yield power_product_graph(left, right)
 
 
 def closed_classes(g):
@@ -560,21 +580,76 @@ def disjoint_k2s(n):
     return SimpleGraph(labels(2 * n), [(2 * i, 2 * i + 1) for i in range(n)])
 
 
-def test_export_matches_oracle_on_graphs_with_closed_twins():
+def twin_graphs():
+    """Graphs with closed twins, each followed by a relabelling with odd labels
+    that puts the twins far apart in the vertex order."""
     rng = random.Random(47)
     graphs = [power_graph(parse_group_spec(spec)) for spec in FAMILY_SPECS]
     graphs += [normal_product_graph(power_graph(parse_group_spec(left)), power_graph(parse_group_spec(right)))
                for left, right in (("C4", "S3"), ("Q8", "C6"), ("D4", "C2xC2"))]
     # The last twin of every class in these has no neighbour above it.
     graphs += [complete(n) for n in (2, 3, 7)] + [disjoint_k2s(n) for n in (1, 4)]
-    # Only P(C1) and the star P(C2xC2) have no twins.
-    assert sum(closed_classes(g) < g.vertex_count for g in graphs) == len(graphs) - 2
+    for g in graphs:
+        yield g
+        perm = shuffled(rng, g.vertex_count)
+        yield SimpleGraph([f'"{v}",' for v in range(g.vertex_count)], relabel(g, perm).edges())
+
+
+def test_export_matches_oracle_on_small_graphs():
+    for g in small_graphs():
+        assert_export_matches_oracle(g)
+
+
+def test_export_matches_oracle_on_random_graphs():
+    for g in seeded_random_graphs():
+        assert_export_matches_oracle(g)
+
+
+def test_export_matches_oracle_on_awkward_labels():
+    for g in awkward_label_graphs():
+        assert_export_matches_oracle(g)
+
+
+def merges_lines(g):
+    """Two vertices with lines, one of whose keys label + "," starts with the other's."""
+    keys = [label + "," for u, label in enumerate(g.labels) if g._rows[u] >> u + 1]
+    return any(i != j and a.startswith(b) for i, a in enumerate(keys) for j, b in enumerate(keys))
+
+
+def test_export_matches_oracle_on_nested_keys():
+    graphs = list(nested_key_graphs())
+    assert sum(map(merges_lines, graphs)) > 150
     for g in graphs:
         assert_export_matches_oracle(g)
-        # Twins far apart in the vertex order, and odd labels to select.
-        perm = shuffled(rng, g.vertex_count)
-        assert_export_matches_oracle(SimpleGraph([f'"{v}",' for v in range(g.vertex_count)],
-                                                 relabel(g, perm).edges()))
+
+
+@pytest.mark.parametrize("left, right", POWER_PRODUCT_PAIRS)
+def test_export_matches_oracle_on_power_graph_products(left, right):
+    assert_export_matches_oracle(power_product_graph(left, right))
+
+
+def test_export_matches_oracle_on_graphs_with_closed_twins():
+    graphs = list(twin_graphs())
+    # Only P(C1) and the star P(C2xC2) have no twins.
+    assert sum(closed_classes(g) < g.vertex_count for g in graphs[::2]) == len(graphs) // 2 - 2
+    for g in graphs:
+        assert_export_matches_oracle(g)
+
+
+@pytest.mark.parametrize("graphs", [small_graphs, seeded_random_graphs, awkward_label_graphs,
+                                    nested_key_graphs, twin_graphs, power_product_graphs],
+                         ids=lambda graphs: graphs.__name__)
+def test_cli_streams_the_export_text(monkeypatch, capsys, graphs):
+    # build and product write the text a row at a time, with one newline
+    # after it, or nothing when the text is empty.
+    for g in graphs():
+        monkeypatch.setattr("powergraphs.cli.power_graph", lambda group: g)
+        monkeypatch.setattr("powergraphs.cli.generalized_product_graph", lambda *args: g)
+        for fmt in EXPORT_FORMATS:
+            text = export(g, fmt)
+            want = (0, text + "\n" if text else "", "")
+            assert run(capsys, "build", "C1", "--format", fmt) == want
+            assert run(capsys, "product", "generalized", "C1", "C1", "--format", fmt) == want
 
 
 def brute_upper_items(rows, items):

@@ -549,6 +549,13 @@ def test_symmetric_bounds():
         symmetric(6)
 
 
+def test_symmetric_table_composes_per_cell():
+    for n in range(1, 6):
+        perms = list(itertools.permutations(range(n)))
+        index = {p: i for i, p in enumerate(perms)}
+        assert symmetric(n).table == [[index[tuple(p[x] for x in q)] for q in perms] for p in perms]
+
+
 def test_quaternion():
     g = quaternion8()
     assert g.order == 8
