@@ -64,7 +64,8 @@ class FiniteGroup:
     cached.  Instances are otherwise never mutated and are safe to share.  The constructor trusts
     its input and keeps the table it is given, without copying it, so
     callers must not change that table afterwards.  group_from_cayley_table
-    validates an untrusted table and builds the group on a copy of it.
+    validates an untrusted table and builds the group on a copy of it, or,
+    for load_cayley_table, on the rows the loader built.
     Cyclic, dihedral and product groups are _RuleGroups: they take their
     identity, walks and commutativity from a rule, and build the table only
     when it is first read.
@@ -150,15 +151,16 @@ def group_from_cayley_table(table, name: str = "G") -> FiniteGroup:
     but the column half of the Latin check is a group, so its columns are
     Latin too: they are checked only when the identity or associativity
     fails, before that error is raised, so the first error named stays the
-    same.  Each row is copied, so the group does not share the caller's table.
+    same.  Each row is copied, so the group does not share the caller's table,
+    except the rows of load_cayley_table, which are the group's table.
     """
-    rows = [list(row) for row in table]
+    rows = table if type(table) is _LoadedRows else [list(row) for row in table]
     n = len(rows)
     if n == 0:
         raise InvalidOrder("table is empty")
     # The loader's rows of plain indices hold only its n shared ints, so
     # only other rows are tested for shape and closure.
-    if type(table) is not _LoadedRows or table.respelt:
+    if rows is not table or table.respelt:
         _check_closure(rows)
     _check_latin(rows, n, "row", "columns")
     try:
@@ -185,18 +187,11 @@ def _light_passes(rows: list[list[int]], g: int) -> bool:
     return all(list(times_g(ti)) == rows[ti[g]] for ti in rows)
 
 
-class _LoadedRows:
-    """The rows of a Cayley file, parsed as they are iterated by parse(self).
+class _LoadedRows(list):
+    """The rows of a Cayley file; respelt is set once a row is read with int()
+    instead of through the loader's dict of plain indices."""
 
-    A row spelt with plain indices maps through the loader's index dict to
-    ints in 0..n-1; parse sets respelt once it reads a row with int() instead.
-    """
-
-    def __init__(self, parse):
-        self._parse, self.respelt = parse, False
-
-    def __iter__(self):
-        return self._parse(self)
+    respelt = False
 
 
 def _check_closure(rows: list[list]) -> None:
@@ -296,44 +291,35 @@ def _multiples(a: int, n: int) -> list[int]:
     return list(map(n.__rmod__, range(a, a * (n // gcd(a, n)) + 1, a))) if a else [0]
 
 
-class _Cyclic(_RuleGroup):
-    def __init__(self, n: int):
-        super().__init__(n, f"C{n}", None, 0)
-
-    def powers(self, a: int) -> list[int]:
-        return _multiples(a, self.order)
-
-    def is_abelian(self) -> bool:
-        return True
-
-    def _table(self) -> list[list[int]]:
-        n = self.order
-        # Row i is (i + j) mod n over j: a slice of the indices listed twice.
-        twice = list(range(n)) * 2
-        return [twice[i:i + n] for i in range(n)]
-
-
 class _Dihedral(_RuleGroup):
-    def __init__(self, n: int):
-        names = [f"r{i}" for i in range(n)] + [f"s{i}" for i in range(n)]
-        super().__init__(2 * n, f"D{n}", names, 0)
+    """The n rotations r^a at indices 0..n-1 and, in D_n, the n reflections
+    r^a*s at n..2n-1, with s*r = r^-1*s; C_n is the rotations alone."""
+
+    def __init__(self, n: int, reflections: bool):
+        self.rotations = n
+        if reflections:
+            super().__init__(2 * n, f"D{n}", [f"r{i}" for i in range(n)] + [f"s{i}" for i in range(n)], 0)
+        else:
+            super().__init__(n, f"C{n}", None, 0)
 
     def powers(self, a: int) -> list[int]:
-        # The rotations walk as in C_n; every reflection is an involution.
-        n = self.order // 2
+        # r^a walks its multiples of a mod n; every reflection is an involution.
+        n = self.rotations
         return _multiples(a, n) if a < n else [a, 0]
 
     def is_abelian(self) -> bool:
-        # D1 is C2 and D2 is C2 x C2; from D3 on, s*r = r^-1*s differs from r*s.
-        return self.order <= 4
+        # C_n has no reflections, D1 is C2 and D2 is C2 x C2; from D3 on,
+        # s*r = r^-1*s differs from r*s.
+        return self.order == self.rotations or self.order <= 4
 
     def _table(self) -> list[list[int]]:
-        size = self.order
-        n = size // 2
+        n, size = self.rotations, self.order
         # Row r^a lists r^(a+b) and then r^(a+b)*s over b, row r^a*s lists r^(a-b)*s
         # and then r^(a-b): slices of each half's indices listed twice, forwards for
         # a + b and backwards, from k = n-1-a, for a - b.
         rot, ref = list(range(n)) * 2, list(range(n, size)) * 2
+        if not ref:
+            return [rot[a:a + n] for a in range(n)]
         rot_back, ref_back = rot[::-1], ref[::-1]
         table = [rot[a:a + n] + ref[a:a + n] for a in range(n)]
         table += [ref_back[k:k + n] + rot_back[k:k + n] for k in reversed(range(n))]
@@ -384,7 +370,7 @@ def cyclic(n: int) -> FiniteGroup:
         raise InvalidOrder(f"cyclic group order must be >= 1, got {n}")
     if n > DEFAULT_ORDER_CAP:
         raise OrderOverflow(f"cyclic group order {n} exceeds cap {DEFAULT_ORDER_CAP}")
-    return _Cyclic(n)
+    return _Dihedral(n, False)
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -398,7 +384,7 @@ def dihedral(n: int) -> FiniteGroup:
     size = 2 * n
     if size > DEFAULT_ORDER_CAP:
         raise OrderOverflow(f"dihedral group order {size} exceeds cap {DEFAULT_ORDER_CAP}")
-    return _Dihedral(n)
+    return _Dihedral(n, True)
 
 
 def symmetric(n: int) -> FiniteGroup:
@@ -496,31 +482,33 @@ def load_cayley_table(path: str | Path) -> FiniteGroup:
         # that is not a decimal integer, or else is read with int().
         index = {str(i): i for i in range(n)}
 
-        # Each of the first n rows is parsed as its line is read and goes
-        # straight into the validator's copy; any further lines are only counted.
-        def rows(loaded):
-            count = 0
-            for count, (lineno, text) in enumerate(itertools.islice(data, n), start=1):
-                tokens = text.split()
-                if len(tokens) != n:
-                    raise ValueError(f"{path}:{lineno}: expected {n} entries, got {len(tokens)}")
-                try:
-                    row = list(map(index.__getitem__, tokens))
-                except KeyError:
-                    bad = next((tok for tok in tokens if not _is_decimal(tok)), None)
-                    if bad is not None:
-                        raise ValueError(f"{path}:{lineno}: invalid entry {bad!r}") from None
-                    loaded.respelt = True
-                    row = list(map(int, tokens))
-                yield row
-            count += sum(1 for _ in data)
-            if count != n:
-                raise ValueError(f"{path}: expected {n} table rows, got {count}")
-
-        try:
-            return group_from_cayley_table(_LoadedRows(rows), name=path.stem)
-        except CayleyTableError as exc:
-            raise type(exc)(f"{path}: {exc}") from None
+        # Each of the first n rows is parsed as its line is read into the list
+        # that becomes the group's table, a row of plain indices at its exact
+        # size; any further lines are only counted.
+        rows = _LoadedRows()
+        for lineno, text in itertools.islice(data, n):
+            tokens = text.split()
+            if len(tokens) != n:
+                raise ValueError(f"{path}:{lineno}: expected {n} entries, got {len(tokens)}")
+            try:
+                row = operator.itemgetter(*tokens)(index)
+                # itemgetter returns a tuple, or the bare value for one key.
+                row = list(row) if n > 1 else [row]
+            except KeyError:
+                bad = next((tok for tok in tokens if not _is_decimal(tok)), None)
+                if bad is not None:
+                    raise ValueError(f"{path}:{lineno}: invalid entry {bad!r}") from None
+                rows.respelt = True
+                row = list(map(int, tokens))
+            rows.append(row)
+        count = len(rows) + sum(1 for _ in data)
+    if count != n:
+        raise ValueError(f"{path}: expected {n} table rows, got {count}")
+    del text, tokens  # no line's text is held while the table is validated
+    try:
+        return group_from_cayley_table(rows, name=path.stem)
+    except CayleyTableError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _is_decimal(token: str) -> bool:

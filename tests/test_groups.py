@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 import time
 import tracemalloc
 from collections import Counter
@@ -466,6 +467,15 @@ def test_builders_match_cell_formulas():
         assert dihedral(n).table == dihedral_by_cell(n), n
 
 
+def test_cyclic_is_dihedral_without_its_reflections():
+    # C_n is the rotation subgroup of D_n: same indices, same products, same walks.
+    for n in range(1, 41):
+        c, d = cyclic(n), dihedral(n)
+        assert c.table == [row[:n] for row in d.table[:n]], n
+        assert all(c.powers(a) == d.powers(a) for a in range(n)), n
+        assert c.is_abelian() and d.is_abelian() == (n <= 2), n
+
+
 def test_cyclic_orders():
     assert cyclic(6).element_orders == [1, 6, 3, 2, 3, 6]
 
@@ -893,6 +903,29 @@ def test_load_of_order_1000_stays_small(tmp_path):
     # the peak is about 8.0 MiB for 7.8 MiB held, where holding every line's
     # text until the table was validated peaked at 11.9 MiB.
     assert peak <= 1.1 * held, (peak, held)
+
+
+def test_loaded_rows_are_built_at_their_exact_size(tmp_path):
+    # A row of plain indices is kept as read, with no spare slots: at order
+    # 1000 a row grown by list(map(...)) holds 800 bytes more than list(row).
+    path = tmp_path / "c1000.tbl"
+    write_table(path, relabelled(cyclic(1000), random.Random(1000)))
+    table = load_cayley_table(path).table
+    assert len(table) == 1000
+    assert all(sys.getsizeof(row) == sys.getsizeof(list(row)) for row in table)
+
+
+def test_load_of_order_1(tmp_path):
+    # One key makes itemgetter return the bare value, which the loader wraps as a row.
+    path = tmp_path / "one.tbl"
+    for text in ("1\n0\n", "1\n+0\n"):
+        path.write_text(text)
+        g = load_cayley_table(path)
+        assert (g.order, g.identity, g.table, g.element_orders) == (1, 0, [[0]], [1])
+    path.write_text("1\n3\n")
+    with pytest.raises(NotClosed) as info:
+        load_cayley_table(path)
+    assert str(info.value) == f"{path}: entry 3 at row 0, column 0 is not an index in 0..0"
 
 
 def test_load_validates_axioms(tmp_path):
