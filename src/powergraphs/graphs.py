@@ -4,7 +4,9 @@ Equality and isomorphism ignore labels; labels exist to make exported
 output readable.
 """
 
+import functools
 from collections import Counter
+from collections.abc import Callable
 from itertools import compress
 from typing import Iterable, Iterator
 
@@ -62,7 +64,10 @@ def _upper_items(rows: list[int], items: list) -> Iterator[tuple[object, list]]:
 class SimpleGraph:
     """Labeled undirected simple graph; no loops, no multi-edges.
 
-    Row u is an int with bit v set iff u ~ v.
+    Row u is an int with bit v set iff u ~ v.  The edge count is counted
+    from the rows on first read and then cached.  SimpleGraph(labels, edges)
+    keeps its labels as it builds them; a graph from _of_rows builds its
+    labels on first read and then caches them.
     """
 
     def __init__(self, labels: Iterable[str], edges: Iterable[tuple[int, int]] = ()):
@@ -77,20 +82,33 @@ class SimpleGraph:
                 raise ValueError(f"self-loop at vertex {u}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        self._set(labels, rows)
+        self.labels = labels
+        self.vertex_count = n
+        self._rows = rows
 
     @classmethod
-    def _of_rows(cls, labels: list[str], rows: list[int]) -> "SimpleGraph":
-        """The graph with these rows: symmetric, below 2**n and without bit u in row u."""
+    def _of_rows(cls, labels: Callable[[], list[str]], rows: list[int]) -> "SimpleGraph":
+        """The graph with these rows: symmetric, below 2**n and without bit u in row u.
+
+        labels() returns the n labels; it is called on the first read of
+        g.labels, and then dropped.
+        """
         g = cls.__new__(cls)
-        g._set(labels, rows)
+        g._labels = labels
+        g.vertex_count = len(rows)
+        g._rows = rows
         return g
 
-    def _set(self, labels: list[str], rows: list[int]) -> None:
-        self.labels = labels
-        self.vertex_count = len(labels)
-        self._rows = rows
-        self.edge_count = sum(map(int.bit_count, rows)) // 2
+    @functools.cached_property
+    def labels(self) -> list[str]:
+        labels = self._labels()
+        # The builder may hold the factors of a product: they are not kept for it.
+        del self._labels
+        return labels
+
+    @functools.cached_property
+    def edge_count(self) -> int:
+        return sum(map(int.bit_count, self._rows)) // 2
 
     def __repr__(self) -> str:
         return f"SimpleGraph({self.vertex_count} vertices, {self.edge_count} edges)"

@@ -73,7 +73,7 @@ def power_graph(g: FiniteGroup) -> SimpleGraph:
     own = [sum(1 << x for x in walk) for walk in walks]
     # c^t, t dividing o, generates each subgroup of <c> once.
     members = [[walk[t - 1] for t in _divisors(len(walk))] for walk in walks]
-    return SimpleGraph._of_rows(list(g.element_names), _subgroup_rows(own, members, subgroup))
+    return SimpleGraph._of_rows(lambda: list(g.element_names), _subgroup_rows(own, members, subgroup))
 
 
 @functools.cache

@@ -15,7 +15,7 @@ from math import gcd
 from operator import add, mul, or_
 
 from .graphs import SimpleGraph, _bits
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _pair_labels
 from .power import PowerWeights, _divisors, _subgroup_rows
 from .progressions import APPair, SENTINEL, WeightTable, aps_intersect_positively
 
@@ -43,9 +43,10 @@ def check_product_size(na: int, nb: int) -> None:
         raise SizeCap(f"product on {na * nb} vertices exceeds cap {DEFAULT_SIZE_CAP}")
 
 
-def _product_labels(a: SimpleGraph, b: SimpleGraph) -> list[str]:
+def _product_labels(a: SimpleGraph, b: SimpleGraph) -> Callable[[], list[str]]:
+    """Refuse an over-cap product, and return the builder of its labels "(la,lb)"."""
     check_product_size(a.vertex_count, b.vertex_count)
-    return [f"({la},{lb})" for la in a.labels for lb in b.labels]
+    return lambda: _pair_labels(a.labels, b.labels)
 
 
 def _spread(rows: list[int], nb: int) -> list[int]:

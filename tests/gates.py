@@ -55,6 +55,9 @@ ROWS = (
     (("product", "cartesian", "D50", "C100", "--format", "json"), None, 50, None),
     # Time bounds: hang guards at about five times 0.52 and 1.95 s (Python 3.11.7, 2 vCPUs).
     (("stats", "cayley:{work}/c2000.tbl"), None, 80, 3),
+    # The same table with every entry spelt with a + sign: read with int(),
+    # then mapped to the loader's shared ints.
+    (("stats", "cayley:{work}/c2000p.tbl"), None, 80, 3),
     (("stats", "cayley:{work}/c4000.tbl"), None, 180, 10),
     (("product", "generalized", "C4000", "C2", "--format", "json"), None, 60, None),
     (("stats", "C10000"), None, 100, None),
@@ -72,11 +75,12 @@ ROWS = (
 
 
 def write_inputs(work):
-    """Cyclic Cayley table files of orders 2000 and 4000, and the iso pairs:
-    each spec's power graph and a seeded relabelling of it."""
-    for n in (2000, 4000):
-        tokens = list(map(str, range(n))) * 2
-        with open(Path(work, f"c{n}.tbl"), "w") as f:
+    """Cyclic Cayley table files of orders 2000 and 4000, the order-2000 one
+    also with a + sign on every entry, and the iso pairs: each spec's power
+    graph and a seeded relabelling of it."""
+    for name, n, spell in (("c2000", 2000, str), ("c2000p", 2000, "+{}".format), ("c4000", 4000, str)):
+        tokens = list(map(spell, range(n))) * 2
+        with open(Path(work, f"{name}.tbl"), "w") as f:
             f.write(f"{n}\n")
             f.writelines(" ".join(tokens[i:i + n]) + "\n" for i in range(n))
     rng = random.Random(1)

@@ -906,13 +906,23 @@ def test_load_of_order_1000_stays_small(tmp_path):
 
 
 def test_loaded_rows_are_built_at_their_exact_size(tmp_path):
-    # A row of plain indices is kept as read, with no spare slots: at order
-    # 1000 a row grown by list(map(...)) holds 800 bytes more than list(row).
-    path = tmp_path / "c1000.tbl"
-    write_table(path, relabelled(cyclic(1000), random.Random(1000)))
-    table = load_cayley_table(path).table
-    assert len(table) == 1000
-    assert all(sys.getsizeof(row) == sys.getsizeof(list(row)) for row in table)
+    # Rows of plain indices and re-spelt rows alike are kept with no spare
+    # slots and hold only the loader's n shared ints: at order 1000 a row
+    # grown by list(map(...)) holds 800 bytes more than list(row), and the
+    # re-spelt file's int() entries were 743,257 distinct int objects.
+    table = relabelled(cyclic(1000), random.Random(1000))
+    for name, spell in (("plain", str), ("respelt", "+{}".format)):
+        path = tmp_path / f"{name}.tbl"
+        write_table(path, table, spell)
+        loaded = load_cayley_table(path).table
+        assert loaded == table, name
+        assert all(sys.getsizeof(row) == sys.getsizeof(list(row)) for row in loaded), name
+        assert len({id(v) for row in loaded for v in row}) <= 1000, name
+    # The range is checked before a re-spelt row is mapped: -1 would pick the last int.
+    path.write_text("2\n0 1\n1 -1\n")
+    with pytest.raises(NotClosed) as info:
+        load_cayley_table(path)
+    assert str(info.value) == f"{path}: entry -1 at row 1, column 1 is not an index in 0..1"
 
 
 def test_load_of_order_1(tmp_path):

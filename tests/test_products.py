@@ -55,6 +55,36 @@ def test_product_labels_use_pair_names():
     assert got.labels == ["(0,0)", "(0,1)", "(1,0)", "(1,1)"]
 
 
+def pair_oracle(left, right):
+    """Eager oracle: the label "(a,b)" of each pair, one f-string each."""
+    return [f"({a},{b})" for a in left for b in right]
+
+
+@pytest.mark.parametrize("specs", [("C1", "C1"), ("C1", "D3"), ("Q8", "C1"), ("C2xS3", "C4"),
+                                   ("D4", "C3xC2xC1")])
+def test_products_build_labels_names_and_edge_counts_on_first_read(specs):
+    # A product group as a factor makes each product below a nested one.
+    g1, g2 = map(parse_group_spec, specs)
+    (a, wa), (b, wb) = ((bundle.graph, bundle.weights) for bundle in map(power_graph_bundle, (g1, g2)))
+    group = direct_product(g1, g2)
+    built = [build(a, b) for build in (direct_product_graph, cartesian_product_graph, normal_product_graph)]
+    built += [generalized_product_graph(a, wa, b, wb),
+              generalized_product_graph(a, classical_weights("normal", a), b, classical_weights("normal", b)),
+              power_graph(group)]
+    nested = direct_product_graph(built[1], a)
+    for g in (a, b, *built, nested):
+        assert not {"labels", "edge_count"} & vars(g).keys()
+    for g in (g1, g2, group):
+        # D<n>, Q8 and S<n> are given their names; products name their pairs when read.
+        assert ("element_names" in vars(g)) == (g.name in ("D3", "Q8", "D4")), g.name
+    names = pair_oracle(g1.element_names, g2.element_names)
+    assert group.element_names == names
+    for g in (*built, nested):
+        assert g.labels == (names if g is not nested else pair_oracle(names, a.labels))
+        assert g.labels is g.labels and "_labels" not in vars(g)
+        assert g.edge_count == len(g.edges())
+
+
 def test_edge_count_identities():
     rng = random.Random(3)
     for _ in range(100):

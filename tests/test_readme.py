@@ -1,7 +1,11 @@
 """The README's examples run as printed."""
 
+import json
 import re
+import shlex
 from pathlib import Path
+
+from helpers import run
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -14,3 +18,17 @@ def test_python_blocks_run_in_order_in_one_namespace():
     namespace = {}
     for number, block in enumerate(blocks, 1):
         exec(compile(block, f"README.md python block {number}", "exec"), namespace)
+
+
+def test_cap_refusals_print_as_shown(tmp_path, monkeypatch, capsys):
+    # Each block under Caps is one command and the error it prints, with exit 2.
+    caps = README.read_text(encoding="utf-8").split("\n## Caps\n")[1].split("\n## ")[0]
+    blocks = re.findall(r"^```\n\$ powergraphs (.*?)\n(.*?)^```$", caps, re.M | re.S)
+    assert len(blocks) == 3
+    # The iso block's files: a star on 60,000 vertices and K2.
+    star = {"vertices": list(map(str, range(60000))), "edges": [[0, v] for v in range(1, 60000)]}
+    (tmp_path / "star.json").write_text(json.dumps(star))
+    (tmp_path / "k2.json").write_text(json.dumps({"vertices": ["0", "1"], "edges": [[0, 1]]}))
+    monkeypatch.chdir(tmp_path)
+    for command, printed in blocks:
+        assert run(capsys, *shlex.split(command)) == (2, "", printed), command

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+import powergraphs.groups
 import powergraphs.power
 import powergraphs.products
 import powergraphs.verify
@@ -42,6 +43,23 @@ from powergraphs.verify import (
     random_graph,
     verify_all,
 )
+
+
+def test_passing_sweep_builds_no_pair_label(monkeypatch):
+    # Product element names and product graph labels are built on first
+    # read, and a passing sweep reads neither.
+    calls = []
+
+    def counting(left, right):
+        calls.append((left, right))
+        return pair_labels(left, right)
+
+    pair_labels = powergraphs.groups._pair_labels
+    for module in (powergraphs.groups, powergraphs.products):
+        monkeypatch.setattr(module, "_pair_labels", counting)
+    reports = verify_all(max_order=36)
+    assert all(report.passed for report in reports)
+    assert calls == []
 
 
 def test_family_respects_max_order():
