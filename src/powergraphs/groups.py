@@ -66,8 +66,7 @@ class FiniteGroup:
     mutated and are safe to share.  The constructor trusts
     its input and keeps the table it is given, without copying it, so
     callers must not change that table afterwards.  group_from_cayley_table
-    validates an untrusted table and builds the group on a copy of it, or,
-    for load_cayley_table, on the rows the loader built.
+    validates an untrusted table and builds the group on a copy of it.
     Cyclic, dihedral and product groups are _RuleGroups: they take their
     identity, walks and commutativity from a rule, and build the table only
     when it is first read.
@@ -150,23 +149,20 @@ class FiniteGroup:
 
 
 def group_from_cayley_table(table, name: str = "G") -> FiniteGroup:
-    """Validate an untrusted multiplication table and build the group.
+    """Validate an untrusted multiplication table and build the group on a copy of it.
 
-    Checks run in the order closure, Latin square, identity, associativity;
-    error messages name the first violating cell.  A table that passes all
-    but the column half of the Latin check is a group, so its columns are
-    Latin too: they are checked only when the identity or associativity
-    fails, before that error is raised, so the first error named stays the
-    same.  Each row is copied, so the group does not share the caller's table,
-    except the rows of load_cayley_table, which are the group's table.
+    Checks run in the order closure (skipped on load_cayley_table's closed
+    rows), Latin square, identity, associativity; error messages name the
+    first violating cell.  Latin rows, an identity and associativity make a
+    group, so columns are checked only when the identity or associativity
+    fails, before that error is raised: the first error named stays the same.
     """
-    rows = table if type(table) is _LoadedRows else [list(row) for row in table]
+    trusted = type(table) is _LoadedRows
+    rows = list(table) if trusted else [list(row) for row in table]
     n = len(rows)
     if n == 0:
         raise InvalidOrder("table is empty")
-    # The loader's rows of plain indices hold only its n shared ints, so
-    # only other rows are tested for shape and closure.
-    if rows is not table or table.respelt:
+    if not trusted:
         _check_closure(rows)
     _check_latin(rows, n, "row", "columns")
     try:
@@ -194,10 +190,7 @@ def _light_passes(rows: list[list[int]], g: int) -> bool:
 
 
 class _LoadedRows(list):
-    """The rows of a Cayley file; respelt is set once a row is read with int()
-    instead of through the loader's dict of plain indices."""
-
-    respelt = False
+    """The rows of a Cayley file, each an exact-size list of the loader's n shared ints."""
 
 
 def _check_closure(rows: list[list]) -> None:
@@ -503,10 +496,10 @@ def load_cayley_table(path: str | Path) -> FiniteGroup:
         index = {str(i): i for i in range(n)}
         shared = list(index.values())
 
-        # Each of the first n rows is parsed as its line is read into the list
-        # that becomes the group's table, a row of plain indices at its exact
-        # size; any further lines are only counted.
-        rows = _LoadedRows()
+        # Each of the first n rows is parsed as its line is read, at its exact
+        # size; any further lines are only counted.  The table is closed unless
+        # a re-spelt row holds an entry out of range.
+        rows, closed = [], True
         for lineno, text in itertools.islice(data, n):
             tokens = text.split()
             if len(tokens) != n:
@@ -524,17 +517,18 @@ def load_cayley_table(path: str | Path) -> FiniteGroup:
                 except ValueError:
                     bad = next(tok for tok in tokens if not _is_decimal(tok))
                     raise ValueError(f"{path}:{lineno}: invalid entry {bad!r}") from None
-                rows.respelt = True
                 # Range first: a negative entry would pick from the end.
                 if 0 <= min(row) and max(row) < n:
                     row = _pick(row, shared)
+                else:
+                    closed = False
             rows.append(row)
         count = len(rows) + sum(1 for _ in data)
     if count != n:
         raise ValueError(f"{path}: expected {n} table rows, got {count}")
     del text, tokens  # no line's text is held while the table is validated
     try:
-        return group_from_cayley_table(rows, name=path.stem)
+        return group_from_cayley_table(_LoadedRows(rows) if closed else rows, name=path.stem)
     except CayleyTableError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
