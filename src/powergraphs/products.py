@@ -133,45 +133,60 @@ def _forward_rows(wa: WeightTable, wb: WeightTable, nb: int) -> list[int]:
     """Row x = (g1, g2): bit y = (h1, h2) set iff y != x and the cells
     wa[g1][h1] and wb[g2][h2] meet in a positive integer.
 
-    Each row's targets are grouped by cell.  A left cell p is decided once
-    per call against every distinct right cell, by aps_intersect_positively,
-    and meeting[p][g2] is the mask of the right targets h2 whose cells meet
-    p.  The nb rows of one left row g1 are built at once, as a block that
-    starts at nb zeros: each cell p of wa[g1] adds one map to it, p's left
-    mask (bit h1 * nb) times meeting[p][g2] for every g2.  Every pair
-    (h1, h2) lies under one left cell, and a right mask is below 2**nb, so
-    the terms share no bits and the sum is their union.  The block is a
-    list again after each cell, so no map nests in more than one other.
-    The arc x -> x is not a self-loop: when p covers g1 itself, that bit is
-    split off p's mask and multiplied by off[p][g2], meeting[p][g2] without
-    bit g2, a copy built once per cell.
+    The unit masks are built once per call, bit h2 for a right target and
+    bit h1 * nb for a left one, and _cell_masks groups each row's targets
+    by cell with them.  A left cell p is decided once per call against
+    every distinct right cell, by aps_intersect_positively, and
+    meeting[p][g2] is the mask of the right targets h2 whose cells meet p.
+    The nb rows of one left row g1 are built at once, as a block: each
+    cell p of wa[g1] gives one term, p's left mask times meeting[p][g2]
+    for every g2.  The block starts at its first term and adds each later
+    one; a row with no cells gives nb zero rows.  Every pair (h1, h2) lies
+    under one left cell, and a right mask is below 2**nb, so the terms
+    share no bits and the sum is their union.  The block is a list again
+    after each term, so no map nests in more than one other.  The arc
+    x -> x is not a self-loop: when p covers g1 itself, that bit is split
+    off p's mask and multiplied by off[p][g2], meeting[p][g2] without bit
+    g2, a copy built once per cell.
     """
-    masks_b = [_cell_masks(row) for row in wb]
+    units_b = [1 << h for h in range(nb)]
+    units_a = [1 << h * nb for h in range(len(wa))]
+    masks_b = [_cell_masks(row, units_b) for row in wb]
     cells_b = {APPair(*q) for masks2 in masks_b for q in masks2}
     meeting, off = {}, {}
     rows = []
     for g1, row1 in enumerate(wa):
-        own, block = 1 << g1 * nb, [0] * nb
-        for p, mask1 in _cell_masks(row1, nb).items():
+        own, block = units_a[g1], None
+        for p, mask1 in _cell_masks(row1, units_a).items():
             if p not in meeting:
                 met = {q for q in cells_b if aps_intersect_positively(APPair(*p), q)}
                 meeting[p] = [sum(mask2 for q, mask2 in masks2.items() if q in met) for masks2 in masks_b]
             if mask1 & own:
                 if p not in off:
                     off[p] = [mask2 & ~(1 << g2) for g2, mask2 in enumerate(meeting[p])]
-                block = list(map(add, block, map(own.__mul__, off[p])))
+                block = _add_term(block, own, off[p])
                 mask1 ^= own
             if mask1:
-                block = list(map(add, block, map(mask1.__mul__, meeting[p])))
-        rows += block
+                block = _add_term(block, mask1, meeting[p])
+        rows += block or [0] * nb
     return rows
 
 
-def _cell_masks(row: dict[int, APPair], scale: int = 1) -> dict[tuple[int, int], int]:
-    """Bit target * scale for each cell, by (start, step)."""
+def _add_term(block: list[int] | None, mask1: int, masks2: list[int]) -> list[int]:
+    """The block plus mask1 times each of masks2; the term alone when there is no block yet."""
+    term = map(mask1.__mul__, masks2)
+    return list(term) if block is None else list(map(add, block, term))
+
+
+def _cell_masks(row: dict[int, APPair], units: list[int]) -> dict[APPair | tuple[int, int], int]:
+    """The OR of units[target] for each cell, keyed by the cell: a list cell
+    becomes a tuple, which hashes and compares like the APPair it spells."""
     masks = {}
-    for target, (start, step) in row.items():
-        masks[start, step] = masks.get((start, step), 0) | 1 << target * scale
+    try:
+        for target, cell in row.items():
+            masks[cell] = masks.get(cell, 0) | units[target]
+    except TypeError:  # an unhashable cell, a list: key every cell as a tuple
+        return _cell_masks({target: tuple(cell) for target, cell in row.items()}, units)
     return masks
 
 

@@ -709,11 +709,22 @@ def test_malformed_weight_cells_refused(cell, side):
         generalized_product_graph(k2(), wa, k2(), wb)
 
 
-def test_list_and_tuple_cells_pass_the_check():
+def test_list_and_tuple_cells_pass_the_check(product_calls):
     tables = [[{1: APPair(1, 1)}, {0: APPair(2, 0)}], [{1: (1, 1)}, {0: (2, 0)}], [{1: [1, 1]}, {0: [2, 0]}]]
     want = generalized_product_graph(k2(), tables[0], k2(), tables[0])
     for w in tables[1:]:
         assert graphs_equal_labeled(generalized_product_graph(k2(), w, k2(), w), want)
+    # Row 0 spells the cell (1, 1) as a list, a tuple and an APPair; the
+    # table equals its flip, so one join runs, and it groups the three as one cell.
+    mixed = [{0: [1, 1], 1: (1, 1), 2: APPair(1, 1)}, {0: (1, 1), 1: APPair(2, 0)}, {0: APPair(1, 1)}]
+    plain = [{target: APPair(*cell) for target, cell in row.items()} for row in mixed]
+    g = SimpleGraph(labels(3))
+    product_calls.joins.clear()
+    want = generalized_product_graph(g, plain, g, plain)
+    assert graphs_equal_labeled(generalized_product_graph(g, mixed, g, mixed), want)
+    assert len(product_calls.joins) == 2
+    cells = {APPair(1, 1), APPair(2, 0)}
+    assert product_calls.decided == {(p, q) for p in cells for q in cells}
 
 
 def test_dict_join_edge_cases(product_calls):

@@ -32,3 +32,17 @@ def test_cap_refusals_print_as_shown(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for command, printed in blocks:
         assert run(capsys, *shlex.split(command)) == (2, "", printed), command
+
+
+def test_subcommands_run_and_exit_zero(tmp_path, monkeypatch, capsys):
+    # Each line of the block is one command, with a comment after it.
+    block = re.search(r"^### Subcommands\n\n```sh\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)[1]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines() if line]
+    assert len(commands) >= 10 and all(argv[0] == "powergraphs" for argv in commands)
+    # The iso line's files: a path on four vertices, and the same path relabelled.
+    (tmp_path / "a.json").write_text(json.dumps({"vertices": ["0", "1", "2", "3"], "edges": [[0, 1], [1, 2], [2, 3]]}))
+    (tmp_path / "b.json").write_text(json.dumps({"vertices": ["w", "x", "y", "z"], "edges": [[2, 0], [0, 3], [3, 1]]}))
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, _, err = run(capsys, *argv[1:])
+        assert code == 0, (argv, err)
