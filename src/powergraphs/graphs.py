@@ -130,7 +130,7 @@ def graphs_equal_labeled(a: SimpleGraph, b: SimpleGraph) -> bool:
 def has_universal_vertex(g: SimpleGraph) -> bool:
     """True iff some vertex is adjacent to all others (so always for K1)."""
     full = g.vertex_count - 1
-    return any(row.bit_count() == full for row in g._rows)
+    return full in map(int.bit_count, g._rows)
 
 
 def are_isomorphic(a: SimpleGraph, b: SimpleGraph) -> tuple[bool, list[int] | None]:

@@ -56,16 +56,41 @@ class CyclicSubgroups(NamedTuple):
     exponent: list[int]
 
 
+class _ResidueMasks(dict):
+    """The start-residue masks of a group's cyclic subgroups, each list
+    built when it is first read.
+
+    Entry (s, d, scale) lists, for r in 0..d-1, the mask with bit
+    c^u * scale for each power c^u = walks[s][u - 1] with u = r mod d.
+    The power join (products._power_rows) reads them, with scale 1 for its
+    right factor and the right factor's order for its left one.
+    """
+
+    def __init__(self, walks: list[list[int]]):
+        super().__init__()
+        self.walks = walks
+
+    def __missing__(self, key: tuple[int, int, int]) -> list[int]:
+        s, d, scale = key
+        walk = self.walks[s]
+        # The powers are distinct, so summing their bits ORs them.
+        masks = self[key] = [sum(map((1).__lshift__, map(scale.__mul__, walk[(r - 1) % d::d])))
+                             for r in range(d)]
+        return masks
+
+
 class FiniteGroup:
     """Finite group with elements 0..n-1 and a full multiplication table.
 
     The identity is auto-detected from the table at construction; the
     cyclic subgroups and element orders, and the element names when none
     are given ("0".."n-1", or a direct product's "(a,b)" pairs), are
-    computed on first read and then cached.  Instances are otherwise never
-    mutated and are safe to share.  The constructor trusts
-    its input and keeps the table it is given, without copying it, so
-    callers must not change that table afterwards.  group_from_cayley_table
+    computed on first read and then cached.  The power join keeps its
+    residue masks in a dict on the group, one entry per subgroup, divisor
+    and partner order joined.  Apart from these caches, instances are never
+    mutated and are safe to share.  The constructor trusts its input and
+    keeps the table it is given, without copying it, so callers must not
+    change that table afterwards.  group_from_cayley_table
     validates an untrusted table and builds the group on a copy of it.
     Cyclic, dihedral and product groups are _RuleGroups: they take their
     identity, walks and commutativity from a rule, and build the table only
@@ -107,19 +132,24 @@ class FiniteGroup:
     @functools.cached_property
     def cyclic_subgroups(self) -> CyclicSubgroups:
         """One walk per cyclic subgroup.  In a group the generators of <a>
-        are the a^k with k prime to o(a), so the walk of a names all of them."""
+        are the a^k with k prime to o(a), so the walk of a names all of them,
+        read at the indices _units gives."""
         walks: list[list[int]] = []
         subgroup, exponent = [-1] * self.order, [0] * self.order
         for a in range(self.order):
             if subgroup[a] >= 0:
                 continue
             walk = self.powers(a)
-            o = len(walk)
-            for k, x in enumerate(walk, 1):
-                if gcd(k, o) == 1:
-                    subgroup[x], exponent[x] = len(walks), k
+            s = len(walks)
+            for k in _units(len(walk)):
+                x = walk[k - 1]
+                subgroup[x], exponent[x] = s, k
             walks.append(walk)
         return CyclicSubgroups(walks, subgroup, exponent)
+
+    @functools.cached_property
+    def _residue_masks(self) -> _ResidueMasks:
+        return _ResidueMasks(self.cyclic_subgroups.walks)
 
     @functools.cached_property
     def element_orders(self) -> list[int]:
@@ -146,6 +176,14 @@ class FiniteGroup:
         t = self.table
         gens = _generators(t, self.identity)
         return all(t[a][b] == t[b][a] for a in gens for b in gens)
+
+
+@functools.cache
+def _units(o: int) -> tuple[int, ...]:
+    """The k in 1..o prime to o: the exponents at which c^k generates <c>
+    for c of order o.  Element orders are at most the order cap, which
+    bounds the cache."""
+    return tuple(k for k in range(1, o + 1) if gcd(k, o) == 1)
 
 
 def group_from_cayley_table(table, name: str = "G") -> FiniteGroup:

@@ -70,7 +70,7 @@ def power_graph(g: FiniteGroup) -> SimpleGraph:
     """Undirected power graph of g: a ~ b iff one is a power of the other."""
     walks, subgroup, _ = g.cyclic_subgroups
     # The powers of a generator are distinct, so summing their bits ORs them.
-    own = [sum(1 << x for x in walk) for walk in walks]
+    own = [sum(map((1).__lshift__, walk)) for walk in walks]
     # c^t, t dividing o, generates each subgroup of <c> once.
     members = [[walk[t - 1] for t in _divisors(len(walk))] for walk in walks]
     return SimpleGraph._of_rows(lambda: list(g.element_names), _subgroup_rows(own, members, subgroup))

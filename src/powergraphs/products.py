@@ -15,7 +15,7 @@ from math import gcd
 from operator import add, mul, or_
 
 from .graphs import SimpleGraph, _bits
-from .groups import FiniteGroup, _pair_labels
+from .groups import FiniteGroup, _pair_labels, _units
 from .power import PowerWeights, _divisors, _subgroup_rows
 from .progressions import APPair, SENTINEL, WeightTable, aps_intersect_positively
 
@@ -204,46 +204,37 @@ def _power_rows(g1: FiniteGroup, g2: FiniteGroup) -> list[int]:
     d) with c2's masks R[r * m mod d] (bit h2).  Its arcs x -> y are the
     powers y of x, so J is the mask of the cyclic subgroup K = <x>, and
     the key (c1, c2, m) names K.  The x^t, t dividing |K|, generate K's
-    subgroups, and power._subgroup_rows makes the rows.
+    subgroups, and power._subgroup_rows makes the rows.  L and R are read
+    from the factors' residue caches (groups._ResidueMasks), so a sweep
+    builds them once per factor subgroup, divisor and partner order, not
+    once per pair.
     """
     walks1 = g1.cyclic_subgroups.walks
     walks2, subgroup2, exponent2 = g2.cyclic_subgroups
     n2 = g2.order
-    right = {}  # c2's masks R per (subgroup, d)
+    residues1, residues2 = g1._residue_masks, g2._residue_masks
     index = {}  # K's index per key
     joined, powers = [], []  # J[K] and the x^t, t | |K|, of one generator x of K
     subgroup = [0] * (g1.order * n2)  # K = <x> per x
     for s1, walk1 in enumerate(walks1):
         o1 = len(walk1)
-        left = {}  # c1's masks L per d
         # The generators of <c1> are the c1^k1 with k1 prime to o1.
-        for k1, x1 in enumerate(walk1, 1):
-            if gcd(k1, o1) > 1:
-                continue
-            x = x1 * n2
+        for k1 in _units(o1):
+            x = walk1[k1 - 1] * n2
             for s2, k2, o2 in zip(subgroup2, exponent2, g2.element_orders):
                 d = gcd(o1, o2)
                 key = (s1, s2, k2 * pow(k1, -1, d) % d)
                 k = index.get(key)
                 if k is None:
                     walk2 = walks2[s2]
-                    if d not in left:
-                        left[d] = _walk_masks(walk1, d, n2)
-                    if (s2, d) not in right:
-                        right[s2, d] = _walk_masks(walk2, d)
-                    masks, m = right[s2, d], key[2]
+                    left, right, m = residues1[s1, d, n2], residues2[s2, d, 1], key[2]
                     k = index[key] = len(joined)
-                    joined.append(sum(map(mul, left[d], [masks[r * m % d] for r in range(d)])))
+                    joined.append(sum(map(mul, left, [right[r * m % d] for r in range(d)])))
                     powers.append([walk1[(k1 * t - 1) % o1] * n2 + walk2[(k2 * t - 1) % o2]
                                    for t in _divisors(o1 * o2 // d)])
                 subgroup[x] = k
                 x += 1
     return _subgroup_rows(joined, powers, subgroup)
-
-
-def _walk_masks(walk: list[int], d: int, scale: int = 1) -> list[int]:
-    """Entry r: bit c^u * scale for each power c^u = walk[u - 1] with u = r mod d."""
-    return [sum(1 << x * scale for x in walk[(r - 1) % d::d]) for r in range(d)]
 
 
 def classical_weights(kind: str, g: SimpleGraph) -> WeightTable:

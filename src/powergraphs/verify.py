@@ -130,7 +130,8 @@ def check_exponent_windows(g: FiniteGroup) -> InstanceResult:
         row = weights[a]
         for b in range(g.order):
             brute = exponent_set_window(g, a, b, bound)
-            via_ap = {m for m in range(1, bound + 1) if ap_contains(row.get(b, SENTINEL), m)}
+            cell = row.get(b, SENTINEL)
+            via_ap = {m for m in range(1, bound + 1) if ap_contains(cell, m)}
             if brute != via_ap:
                 return InstanceResult(
                     g.name, False,

@@ -38,6 +38,12 @@ def _witness_maps_edges(out, args):
 # (argv with {work} for the input directory, check of stdout, max RSS in MB, max seconds)
 ROWS = (
     (("verify-all", "--max-order", "144"), _sweep_passes, 40, 10),
+    # The isomorphism cap: the largest sweep the CLI takes, where the power
+    # join's residue caches are largest.  It read 0.14 to 0.36 s and 15 MB
+    # alone, and 0.15 to 0.25 s and 19 MB here, where a child's max RSS
+    # includes this script's own (Python 3.11.7, 2 vCPUs): bounds at about
+    # five times the slowest time and 1.5 times the RSS read here.
+    (("verify-all", "--max-order", "200"), _sweep_passes, 30, 2),
     *((("verify-theorem", *pair.split()), _passes, None, None) for pair in (
         "S4 D21", "D10 D25", "D12 D21", "S4 C42", "C50 D10", "C20 D25", "C30 C40", "C20 C60", "Q8 C125")),
     *((("verify-theorem", *pair.split()), _passes, 150, 30) for pair in (

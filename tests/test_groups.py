@@ -31,7 +31,7 @@ from powergraphs import (
     quaternion8,
     symmetric,
 )
-from powergraphs.groups import _check_closure, _generators
+from powergraphs.groups import _check_closure, _generators, _units
 from powergraphs.groupspec import parse_group_spec
 from powergraphs.verify import FAMILY_SPECS, family_groups
 from helpers import first_violation, powers, random_relabelling, relabel_table, write_table
@@ -485,6 +485,13 @@ def test_element_orders_are_computed_on_first_use():
     assert "element_orders" not in vars(g)
     assert g.element_orders is g.element_orders
     assert vars(g)["element_orders"] == [1, 6, 3, 2, 3, 6]
+
+
+def test_units_are_the_exponents_prime_to_the_order():
+    """Both sides of the identity pick each walk's generators from _units."""
+    for o in range(1, 2001):
+        assert _units(o) == tuple(k for k in range(1, o + 1) if gcd(k, o) == 1), o
+    assert _units(12) is _units(12)
 
 
 def test_cyclic_subgroups_give_every_walk_and_order():

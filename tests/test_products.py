@@ -682,6 +682,29 @@ def test_power_join_matches_dict_join_on_large_pairs(specs):
     assert {x: got._rows[x] for x in want} == want
 
 
+@pytest.mark.parametrize("specs, partners", [(("S4", "D6"), ("C5", "D6", "C8")),
+                                              (("Q8", "C10"), ("C125", "D4")),
+                                              (("D6", "D6"), ("S3", "C4", "Q8")),
+                                              (("C12", "C1"), ("C6", "C2xC2"))])
+def test_power_join_reads_residue_caches_filled_by_other_partners(specs, partners):
+    """Each factor's residue masks are kept under (subgroup, d, scale).
+    Filled first by joins, on either side, with partners of other orders,
+    the caches must give the rows that fresh groups and the product group
+    give."""
+    g1, g2 = (parse_group_spec(spec) for spec in specs)
+    if specs[0] == specs[1]:
+        g2 = g1
+    for spec in partners:
+        p = parse_group_spec(spec)
+        for g in (g1, g2):
+            powergraphs.products._power_rows(g, p), powergraphs.products._power_rows(p, g)
+    scales = {scale for g in (g1, g2) for _, _, scale in g._residue_masks}
+    assert len(scales) > 2, scales
+    got = powergraphs.products._power_rows(g1, g2)
+    fresh = powergraphs.products._power_rows(*(parse_group_spec(spec) for spec in specs))
+    assert got == fresh == power_graph(direct_product(g1, g2))._rows, specs
+
+
 def test_power_join_of_trivial_groups():
     b = power_graph_bundle(cyclic(1))
     got = generalized_product_graph(b.graph, b.weights, b.graph, b.weights)

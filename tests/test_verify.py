@@ -138,6 +138,23 @@ def test_verify_all_builds_each_product_group_once(monkeypatch):
     assert all(r.passed for r in reports)
 
 
+def test_sweep_joins_build_no_factor_table(monkeypatch):
+    """The power join reads its factors' walks and residue caches, not
+    their tables.  When the exponent windows start, after every pair's
+    identity and obstruction claims, only the factors given as tables have
+    one, and every factor's residue cache holds masks."""
+    seen = {}
+
+    def recorded(g):
+        seen[g.name] = ("table" in vars(g), bool(g._residue_masks))
+        return check_exponent_windows(g)
+
+    monkeypatch.setattr(powergraphs.verify, "check_exponent_windows", recorded)
+    reports = verify_all(max_order=144)
+    assert all(r.passed for r in reports)
+    assert seen == {spec: (spec in ("Q8", "S3", "S4"), True) for spec in FAMILY_SPECS}
+
+
 def test_verify_all_builds_each_factor_bundle_once(monkeypatch):
     built, weighed = [], []
 
