@@ -10,7 +10,7 @@ cartesian adjacency (elsewhere called the strong product).
 """
 
 from collections.abc import Callable
-from itertools import compress
+from itertools import chain, compress
 from math import gcd
 from operator import add, mul, or_
 
@@ -55,9 +55,28 @@ def _spread(rows: list[int], nb: int) -> list[int]:
     Times a row below 2**nb, a spread row sets bit h * nb + v for each bit h
     of its row and v of the other, with no carries: the vertex indices of the
     pairs (h, v).
+
+    The rows are a graph's, each below 2**na with na = len(rows), and each
+    is spread in chunks of w = min(nb - 1, na) bits.  Times comb, copy j of
+    a chunk puts its bit h at h + j * (nb - 1), a multiple of nb only for
+    j = h, and no two (h, j) share a bit, so nothing carries and keep leaves
+    bit h at h * nb.  comb and keep are sized by w, not by nb: a one-vertex
+    left factor multiplies by 1.  A row of many chunks takes one multiply
+    per chunk, so below 11 right vertices a row of nb - 1 bits or more is
+    spread as a binary string instead, nb - 1 zeros between its digits.
     """
-    gap = "0" * (nb - 1)
-    return [int(gap.join(bin(row)[:1:-1])[::-1], 2) for row in rows]
+    na = len(rows)
+    if nb < 11 and na >= nb - 1:
+        gap = "0" * (nb - 1)
+        return [int(gap.join(bin(row)[:1:-1])[::-1], 2) for row in rows]
+    w = min(nb - 1, na)
+    comb = sum(1 << j * (nb - 1) for j in range(w))
+    keep = sum(1 << h * nb for h in range(w))
+    low = (1 << w) - 1
+    spread = [0] * na
+    for s in range(0, na, nb - 1):
+        spread = [acc | ((row >> s & low) * comb & keep) << s * nb for acc, row in zip(spread, rows)]
+    return spread
 
 
 def direct_product_graph(a: SimpleGraph, b: SimpleGraph) -> SimpleGraph:
@@ -263,23 +282,22 @@ def classical_weights(kind: str, g: SimpleGraph) -> WeightTable:
 def _check_weights(g: SimpleGraph, w: WeightTable, side: str) -> None:
     n = g.vertex_count
     # Power weight rows hold group elements and positive steps by construction.
-    if len(w) != n or not isinstance(w, PowerWeights) and not all(_row_is_valid(row, n) for row in w):
+    if len(w) != n or not isinstance(w, PowerWeights) and not _table_is_valid(w, n):
         raise ValueError(f"{side} weight table needs {n} rows with targets in 0..{n - 1} "
                          "and cells that are (start, step) pairs of ints with steps >= 0")
 
 
-def _row_is_valid(row: dict[int, APPair], n: int) -> bool:
-    """A dict with int targets in 0..n-1, each cell a (start, step) tuple or list of ints with step >= 0."""
-    if not isinstance(row, dict):
+def _table_is_valid(w: WeightTable, n: int) -> bool:
+    """Every row a dict with int targets in 0..n-1, and every cell a (start,
+    step) tuple or list of ints with step >= 0."""
+    if not all(isinstance(row, dict) for row in w):
         return False
-    if not row:
-        return True
+    targets = [*chain.from_iterable(w)]
     # type() and not isinstance(): a True target would be read as vertex 1.
-    if {*map(type, row)} != {int} or min(row) < 0 or max(row) >= n:
+    if targets and ({*map(type, targets)} != {int} or min(targets) < 0 or max(targets) >= n):
         return False
-    try:
-        cells = set(row.values())
-    except TypeError:  # unhashable cells, such as lists, are checked one by one
-        cells = row.values()
+    # Each cell object is checked once: told apart by id, not by equality,
+    # so (True, 1) or (1, 1.0) is not hidden by an equal (1, 1).
+    cells = [*chain.from_iterable(map(dict.values, w))]
     return all(isinstance(cell, (tuple, list)) and len(cell) == 2 and type(cell[0]) is int
-               and type(cell[1]) is int and cell[1] >= 0 for cell in cells)
+               and type(cell[1]) is int and cell[1] >= 0 for cell in dict(zip(map(id, cells), cells)).values())

@@ -77,6 +77,14 @@ ROWS = (
     (("product", "generalized", "C10000", "C1", "--format", "json"), None, 80, 5),
     (("product", "normal", "C100", "C100", "--format", "json"), None, 60, 5),
     (("product", "normal", "C100", "C100"), None, 60, 12),
+    # The two ends of products._spread at the cap: a one-bit left row
+    # against 10,000 right vertices, and 5000-bit left rows against two.
+    # Time bounds: hang guards at about five times 1.09 and 1.47 s, RSS at
+    # about 1.5 times 45 and 44 MB (Python 3.11.7, 2 vCPUs).  A spread whose
+    # multiplier is sized by |V2| alone fails the first row, and one that
+    # loops over one-bit chunks for a thin right factor fails the second.
+    (("product", "cartesian", "C1", "C10000", "--format", "json"), None, 68, 5.5),
+    (("product", "normal", "C5000", "C2", "--format", "json"), None, 66, 7.5),
 )
 
 

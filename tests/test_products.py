@@ -732,6 +732,40 @@ def test_malformed_weight_cells_refused(cell, side):
         generalized_product_graph(k2(), wa, k2(), wb)
 
 
+@pytest.mark.parametrize("cell", [(True, 1), (1, 1.0), [1, True]])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_bad_cells_equal_to_a_good_cell_refused(cell, side):
+    # (True, 1) and (1, 1.0) equal APPair(1, 1) and hash like it, so a check
+    # that keeps one cell per equal value would read only the good one.
+    good = [{1: APPair(1, 1)}, {0: APPair(1, 1)}]
+    for bad in ([{0: APPair(1, 1), 1: cell}, {0: APPair(1, 1)}], [{1: APPair(1, 1)}, {0: cell}]):
+        wa, wb = (bad, good) if side == "left" else (good, bad)
+        with pytest.raises(ValueError, match=rf"^{side} weight table needs 2 rows with targets in 0\.\.1 "):
+            generalized_product_graph(k2(), wa, k2(), wb)
+    # likewise a True target in one row beside the target 1 in another
+    bad = [{1: APPair(1, 1)}, {True: APPair(1, 1)}]
+    wa, wb = (bad, good) if side == "left" else (good, bad)
+    with pytest.raises(ValueError, match=rf"^{side} weight table needs 2 rows"):
+        generalized_product_graph(k2(), wa, k2(), wb)
+
+
+SPREAD_WIDTHS = {1: (0, 1, 5), 2: (0, 1, 2, 7), 3: (0, 1, 2, 3, 9), 10: (0, 1, 8, 9, 10, 30),
+                 11: (0, 1, 9, 10, 11, 33), 25: (0, 1, 24, 25, 75), 40: (0, 1, 38, 39, 40, 120),
+                 10000: (0, 1, 2)}
+
+
+@pytest.mark.parametrize("nb, na", [(nb, na) for nb, widths in SPREAD_WIDTHS.items() for na in widths])
+def test_spread_matches_bit_by_bit_oracle(nb, na):
+    """Both paths of _spread (the string for thin right factors, the chunked
+    multiply otherwise) and their boundary, on rows of 0, 1, nb - 1, nb and
+    several chunks' worth of bits: _spread reads the row width as len(rows)."""
+    rng = random.Random(na * 100003 + nb)
+    samples = (0, (1 << na) - 1, 1 << na >> 1, rng.getrandbits(na))
+    for rows in (*([row] * na for row in samples), [rng.getrandbits(na) for _ in range(na)]):
+        assert powergraphs.products._spread(rows, nb) == [
+            sum(1 << h * nb for h in range(na) if row >> h & 1) for row in rows], rows
+
+
 def test_list_and_tuple_cells_pass_the_check(product_calls):
     tables = [[{1: APPair(1, 1)}, {0: APPair(2, 0)}], [{1: (1, 1)}, {0: (2, 0)}], [{1: [1, 1]}, {0: [2, 0]}]]
     want = generalized_product_graph(k2(), tables[0], k2(), tables[0])
