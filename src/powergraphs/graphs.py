@@ -33,30 +33,33 @@ def _bits(row: int) -> bytes:
     return bin(row)[:1:-1].encode().translate(_DIGIT_BITS)
 
 
+def _closed_leads(rows: list[int]) -> list[int]:
+    """lead[u]: the first vertex with u's closed row, row | 1 << u, so closed
+    twins share a lead.  The dict of the distinct closed rows is dropped on return."""
+    first = {}
+    return [first.setdefault(row | 1 << u, u) for u, row in enumerate(rows)]
+
+
 def _upper_items(rows: list[int], items: list) -> Iterator[tuple[object, list]]:
     """(items[u], the items of u's neighbours above u) for each row u with a bit above u.
 
-    Closed twins, vertices with equal closed rows row | 1 << u, share one
-    selection: the first twin of a class selects its neighbours above
-    itself, each later twin is one of them and takes the tail after itself,
-    and the last twin drops it, so a vertex without a twin drops its own at
-    once.  A first pass keys each vertex by the hash of its closed row, so
-    no second copy of the rows is held.  Selections are kept under their
-    exact closed row, so a collision costs time, never a wrong line.
+    Closed twins share one selection, kept under their class's lead: the
+    first twin selects its neighbours above itself, each later twin is one
+    of them and takes the tail after itself, and the last twin drops it, so
+    a vertex without a twin drops its own at once.
     """
-    hashes = [hash(row | 1 << u) for u, row in enumerate(rows)]
-    last = dict(zip(hashes, range(len(rows))))
+    lead = _closed_leads(rows)
+    last = dict(zip(lead, range(len(rows))))
     shared = {}
-    for u, (row, h) in enumerate(zip(rows, hashes)):
+    for u, (row, v) in enumerate(zip(rows, lead)):
         above = row >> u + 1
-        closed = row | 1 << u
-        selection = shared.get(closed)
+        selection = shared.get(v)
         if selection is None:
-            selection = shared[closed] = list(compress(items[u + 1:], _bits(above)))
+            selection = shared[v] = list(compress(items[u + 1:], _bits(above)))
         else:
             selection = selection[len(selection) - above.bit_count():]
-        if u == last[h]:
-            del shared[closed]
+        if u == last[v]:
+            del shared[v]
         if selection:
             yield items[u], selection
 
@@ -137,12 +140,13 @@ def are_isomorphic(a: SimpleGraph, b: SimpleGraph) -> tuple[bool, list[int] | No
     """Exact isomorphism test with a witness permutation.
 
     The search runs on each graph's twin quotient.  Closed twins (equal
-    closed rows row | 1 << u) form cliques; among the other vertices, open
-    twins (equal rows) form independent sets, and a vertex with a closed
-    twin has no open twin.  Two classes are joined completely or not at
-    all, so the quotient has one vertex per class, coloured by its kind and
-    size; a twin-free graph is its own quotient, with one colour.  Graphs
-    whose colour multisets differ are not isomorphic.  Otherwise
+    closed rows row | 1 << u, named by their first vertex, as the exports
+    name them) form cliques; among the other vertices, open twins (equal
+    rows) form independent sets, and a vertex with a closed twin has no open
+    twin.  Two classes are joined completely or not at all, so the quotient
+    has one vertex per class, coloured by its kind and size; a twin-free
+    graph is its own quotient, with one colour.  Graphs whose colour
+    multisets differ are not isomorphic.  Otherwise
     individualization-refinement (McKay & Piperno, "Practical graph
     isomorphism, II") starts from those colours: each search node refines
     each quotient's colors until stable, with equal signature counts in
@@ -174,11 +178,11 @@ def are_isomorphic(a: SimpleGraph, b: SimpleGraph) -> tuple[bool, list[int] | No
 def _twin_quotient(rows: list[int]) -> tuple[list[list[int]], list[int], list[list[int]]]:
     """The twin classes of a graph in order of their first vertex, each
     class's colour 2 * size + (1 if closed), and the quotient's neighbour lists."""
-    closed = Counter(row | 1 << u for u, row in enumerate(rows))
+    lead = _closed_leads(rows)
+    size = Counter(lead)
     classes = {}
-    for u, row in enumerate(rows):
-        key = (1, row | 1 << u) if closed[row | 1 << u] > 1 else (0, row)
-        classes.setdefault(key, []).append(u)
+    for u, (row, v) in enumerate(zip(rows, lead)):
+        classes.setdefault((1, v) if size[v] > 1 else (0, row), []).append(u)
     # Each neighbouring class is read off its first vertex, which every
     # member of a joined class sees; a closed class's first vertex has no loop.
     firsts = bytearray(len(rows))

@@ -221,38 +221,35 @@ def _power_rows(g1: FiniteGroup, g2: FiniteGroup) -> list[int]:
     The forward row of x = (x1, x2) is then the dot product J of c1's
     start-residue masks L[r] (bit h1 * n2 for each h1 = c1^u1, u1 = r mod
     d) with c2's masks R[r * m mod d] (bit h2).  Its arcs x -> y are the
-    powers y of x, so J is the mask of the cyclic subgroup K = <x>, and
-    the key (c1, c2, m) names K.  The x^t, t dividing |K|, generate K's
-    subgroups, and power._subgroup_rows makes the rows.  L and R are read
-    from the factors' residue caches (groups._ResidueMasks), so a sweep
-    builds them once per factor subgroup, divisor and partner order, not
-    once per pair.
+    powers y of x, so J is the mask of the cyclic subgroup K = <x>.  K is
+    named by its first element in index order: there J is built, the x^u
+    with u prime to |K| are marked as K's generators, and the x^t, t
+    dividing |K|, generate K's subgroups, from which power._subgroup_rows
+    makes the rows.  L and R are read from the factors' residue caches
+    (groups._ResidueMasks), so a sweep builds them once per factor
+    subgroup, divisor and partner order, not once per pair.
     """
-    walks1 = g1.cyclic_subgroups.walks
+    walks1, subgroup1, exponent1 = g1.cyclic_subgroups
     walks2, subgroup2, exponent2 = g2.cyclic_subgroups
     n2 = g2.order
     residues1, residues2 = g1._residue_masks, g2._residue_masks
-    index = {}  # K's index per key
-    joined, powers = [], []  # J[K] and the x^t, t | |K|, of one generator x of K
-    subgroup = [0] * (g1.order * n2)  # K = <x> per x
-    for s1, walk1 in enumerate(walks1):
-        o1 = len(walk1)
-        # The generators of <c1> are the c1^k1 with k1 prime to o1.
-        for k1 in _units(o1):
-            x = walk1[k1 - 1] * n2
-            for s2, k2, o2 in zip(subgroup2, exponent2, g2.element_orders):
+    joined, powers = [], []  # J[K] and the x^t, t | |K|, of K's first element x
+    subgroup = [-1] * (g1.order * n2)  # K = <x> per x
+    x = 0
+    for s1, k1, o1 in zip(subgroup1, exponent1, g1.element_orders):
+        walk1 = walks1[s1]
+        for s2, k2, o2 in zip(subgroup2, exponent2, g2.element_orders):
+            if subgroup[x] < 0:
+                walk2 = walks2[s2]
                 d = gcd(o1, o2)
-                key = (s1, s2, k2 * pow(k1, -1, d) % d)
-                k = index.get(key)
-                if k is None:
-                    walk2 = walks2[s2]
-                    left, right, m = residues1[s1, d, n2], residues2[s2, d, 1], key[2]
-                    k = index[key] = len(joined)
-                    joined.append(sum(map(mul, left, [right[r * m % d] for r in range(d)])))
-                    powers.append([walk1[(k1 * t - 1) % o1] * n2 + walk2[(k2 * t - 1) % o2]
-                                   for t in _divisors(o1 * o2 // d)])
-                subgroup[x] = k
-                x += 1
+                left, right, m = residues1[s1, d, n2], residues2[s2, d, 1], k2 * pow(k1, -1, d) % d
+                o = o1 * o2 // d
+                for u in _units(o):
+                    subgroup[walk1[(k1 * u - 1) % o1] * n2 + walk2[(k2 * u - 1) % o2]] = len(joined)
+                joined.append(sum(map(mul, left, [right[r * m % d] for r in range(d)])))
+                powers.append([walk1[(k1 * t - 1) % o1] * n2 + walk2[(k2 * t - 1) % o2]
+                               for t in _divisors(o)])
+            x += 1
     return _subgroup_rows(joined, powers, subgroup)
 
 

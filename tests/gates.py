@@ -57,8 +57,15 @@ ROWS = (
     (("product", "generalized", "Q8", "C125", "--format", "dot"), None, 50, None),
     (("build", "C2000", "--format", "json"), None, 40, None),
     (("product", "generalized", "D50", "C100", "--format", "json"), None, 50, None),
-    # Twin-free at the cap: the export selects each row's neighbours once, for that row alone.
+    # Twin-free at the cap: the export selects each row's neighbours once, for
+    # that row alone, and the dict that finds each vertex's twin-class lead
+    # holds the 5000 distinct closed rows while it runs (34 MB).
     (("product", "cartesian", "D50", "C100", "--format", "json"), None, 50, None),
+    # 10,000 distinct closed rows with 1,328 distinct hashes: twin selections
+    # keyed by hash hold the colliding rows' lists to the end, and fail this
+    # row at 201 MB.  It reads 1.3 s and 39 MB (Python 3.11.7, 2 vCPUs):
+    # bounds at about five times the time and 1.5 times the RSS.
+    (("product", "direct", "C2", "C5000", "--format", "json"), None, 60, 7),
     # Time bounds: hang guards at about five times 0.52 and 1.95 s (Python 3.11.7, 2 vCPUs).
     (("stats", "cayley:{work}/c2000.tbl"), None, 80, 3),
     # The same table with every entry spelt with a + sign: read with int(),

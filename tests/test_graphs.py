@@ -14,6 +14,7 @@ from powergraphs import (
     are_isomorphic,
     cyclic,
     dihedral,
+    direct_product_graph,
     export,
     generalized_product_graph,
     graph_from_json,
@@ -24,7 +25,7 @@ from powergraphs import (
     power_graph,
     power_graph_bundle,
 )
-from powergraphs.graphs import EXPORT_FORMATS, _twin_quotient, _upper_items
+from powergraphs.graphs import EXPORT_FORMATS, _closed_leads, _twin_quotient, _upper_items
 from powergraphs.verify import FAMILY_SPECS
 from helpers import adjacency, labels, random_gnp, run
 
@@ -674,6 +675,56 @@ def test_upper_items_on_closed_rows_whose_hashes_collide():
             rows.append(c & ~(1 << u) if rng.random() < 0.5 else c)
         items = [f"v{u}" for u in range(n)]
         assert [(u, list(above)) for u, above in _upper_items(rows, items)] == brute_upper_items(rows, items)
+
+
+def brute_closed_leads(rows):
+    closed = [row | 1 << u for u, row in enumerate(rows)]
+    return [closed.index(c) for c in closed]
+
+
+def planted_twin_rows(rng, m):
+    """A random graph on m classes, each blown up into a clique of one to
+    three closed twins, with the vertices shuffled so that classes interleave."""
+    base = random_gnp(rng, m, rng.choice((0.2, 0.5, 0.8)))._rows
+    cls = [c for c in range(m) for _ in range(rng.randint(1, 3))]
+    rng.shuffle(cls)
+    return [sum(1 << v for v, c in enumerate(cls) if v != u and (c == cls[u] or base[cls[u]] >> c & 1))
+            for u in range(len(cls))]
+
+
+def c2_c61_rows():
+    """P(C2) x P(C61) under the direct product: 122 distinct closed rows.
+    Where ints hash modulo 2**61 - 1, bit i + 61 hashes as bit i does, and
+    all 122 rows share one hash."""
+    rows = direct_product_graph(power_graph(cyclic(2)), power_graph(cyclic(61)))._rows
+    closed = {row | 1 << u for u, row in enumerate(rows)}
+    assert len(closed) == 122
+    assert sys.hash_info.modulus != 2**61 - 1 or len(set(map(hash, closed))) == 1
+    return rows
+
+
+def test_closed_leads_match_a_brute_force_grouping():
+    rng = random.Random(44)
+    twinned = 0
+    for _ in range(200):
+        rows = planted_twin_rows(rng, rng.randint(1, 25))
+        leads = _closed_leads(rows)
+        assert leads == brute_closed_leads(rows)
+        twinned += leads != list(range(len(rows)))
+    assert twinned > 150
+    rows = c2_c61_rows()
+    assert _closed_leads(rows) == brute_closed_leads(rows) == list(range(122))
+
+
+def test_upper_items_holds_one_selection_at_a_time():
+    rows = c2_c61_rows()
+    items = [object() for _ in rows]
+    base = sum(map(sys.getrefcount, items))
+    for _, above in _upper_items(rows, items):
+        # Beyond the items of the selection in hand, only the pair's first item,
+        # bound to _, is referenced once more (one more is slack): no earlier
+        # selection is still held.
+        assert sum(map(sys.getrefcount, items)) - base - len(above) <= 2
 
 
 def test_edges_share_one_int_per_vertex():

@@ -3,6 +3,7 @@
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 from math import gcd
 from types import SimpleNamespace
 
@@ -703,6 +704,39 @@ def test_power_join_reads_residue_caches_filled_by_other_partners(specs, partner
     got = powergraphs.products._power_rows(g1, g2)
     fresh = powergraphs.products._power_rows(*(parse_group_spec(spec) for spec in specs))
     assert got == fresh == power_graph(direct_product(g1, g2))._rows, specs
+
+
+def phi(n):
+    return sum(gcd(k, n) == 1 for k in range(1, n + 1))
+
+
+def cyclic_subgroup_count(g1, g2):
+    """Cyclic subgroups of g1 x g2: phi(gcd(|C1|, |C2|)) of them lie over each
+    pair of cyclic subgroups C1 of g1 and C2 of g2 (Toth 2012, for abelian groups)."""
+    o1, o2 = (Counter(map(len, g.cyclic_subgroups.walks)) for g in (g1, g2))
+    return sum(n1 * n2 * phi(gcd(a, b)) for a, n1 in o1.items() for b, n2 in o2.items())
+
+
+def test_power_join_creates_one_subgroup_per_cyclic_subgroup_of_the_product(monkeypatch):
+    created = []
+
+    def recorded(own, members, subgroup):
+        created.append(len(own))
+        return subgroup_rows(own, members, subgroup)
+
+    subgroup_rows = powergraphs.products._subgroup_rows
+    monkeypatch.setattr("powergraphs.products._subgroup_rows", recorded)
+    groups = family_groups(144)
+    pairs = [(g1, g2) for g1 in groups for g2 in groups if g1.order * g2.order <= 144]
+    for g1, g2 in pairs:
+        powergraphs.products._power_rows(g1, g2)
+        assert created.pop() == cyclic_subgroup_count(g1, g2), (g1.name, g2.name)
+    assert len(pairs) == 379
+    for specs, count in ((("C30", "C40"), 112), (("Q8", "C125"), 20), (("S4", "D21"), 433),
+                         (("D50", "C100"), 672)):
+        g1, g2 = map(parse_group_spec, specs)
+        powergraphs.products._power_rows(g1, g2)
+        assert created.pop() == cyclic_subgroup_count(g1, g2) == count, specs
 
 
 def test_power_join_of_trivial_groups():
